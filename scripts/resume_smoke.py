@@ -4,13 +4,17 @@ be byte-identical to an uninterrupted one.
 
 The CI gate behind the durable event store's core promise:
 
-1. run a fleet campaign cleanly into one store;
-2. run the same campaign into a second store and SIGKILL the process
-   partway (after at least one record has landed, before the last);
-3. rerun with ``--resume``;
+1. run a fleet campaign cleanly and serially into one store;
+2. run the same campaign with ``--jobs 2`` into a second store and
+   SIGKILL the process partway (after at least one record has landed,
+   before the last); its pool workers must exit with it;
+3. rerun with ``--resume``, again with ``--jobs 2``;
 4. assert the records, the rollup table, and the projection-backed
    replay report are identical between the clean and the resumed store
    (raw file bytes for the JSONL backend).
+
+The serial clean run against the pooled interrupted-and-resumed one also
+checks serial-vs-``--jobs`` identity under SIGKILL.
 
 Artifacts (stdout captures + replay JSON of both stores) land in
 ``--workdir`` so a mismatch uploads everything needed to triage.
@@ -60,11 +64,42 @@ def record_count(path: Path, backend: str) -> int:
     return max(0, len(lines) - 1)  # minus the schema header line
 
 
+def child_pids(pid: int) -> list:
+    """Pids whose parent is ``pid``, read from /proc (Linux)."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def still_running(pids, grace_s: float = 5.0) -> list:
+    """The pids that have not exited (zombies count as exited) within
+    ``grace_s`` seconds."""
+
+    def running(pid: int) -> bool:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+    deadline = time.monotonic() + grace_s
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if running(pid)]
+
+
 def interrupted_run(cmd, out: Path, backend: str, timeout_s: float = 180.0):
     """Launch the campaign and SIGKILL it once >= 1 record has landed.
 
-    Returns True when the kill landed while the process was still
-    running (i.e. the run was genuinely interrupted partway).
+    Returns ``(interrupted, workers)``: whether the kill landed while the
+    process was still running (i.e. the run was genuinely interrupted
+    partway), and the pids of its pool workers at that moment.
     """
     proc = subprocess.Popen(
         cmd, text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE
@@ -72,11 +107,12 @@ def interrupted_run(cmd, out: Path, backend: str, timeout_s: float = 180.0):
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         if proc.poll() is not None:
-            return False  # finished before we could interrupt it
+            return False, []  # finished before we could interrupt it
         if record_count(out, backend) >= 1:
+            workers = child_pids(proc.pid)
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=60)
-            return True
+            return True, workers
         time.sleep(0.02)
     proc.kill()
     proc.wait(timeout=60)
@@ -121,9 +157,11 @@ def main() -> int:
         if stale.is_file():
             stale.unlink()
 
+    # Three shards per worker: the pool prefetches, so the kill has to
+    # land while later shards are still queued behind the finished ones.
     base = [
         sys.executable, "-m", "repro", "fleet", "run", args.scenario,
-        "--apps", str(args.apps), "--snapshot-every", "1",
+        "--shards", "6", "--apps", str(args.apps), "--snapshot-every", "1",
         "--store-backend", args.backend,
     ]
 
@@ -137,23 +175,35 @@ def main() -> int:
         return 1
     (workdir / "clean.stdout").write_text(clean.stdout)
 
-    print(f"[2/4] interrupted run (SIGKILL mid-campaign) -> {resumed_out}")
-    interrupted = interrupted_run(
-        base + ["--out", str(resumed_out)], resumed_out, args.backend
+    print(f"[2/4] interrupted run (--jobs 2, SIGKILL mid-campaign) -> "
+          f"{resumed_out}")
+    interrupted, workers = interrupted_run(
+        base + ["--jobs", "2", "--out", str(resumed_out)],
+        resumed_out, args.backend,
     )
     partial = record_count(resumed_out, args.backend)
     total = record_count(clean_out, args.backend)
     print(f"      killed with {partial}/{total} record(s) persisted "
-          f"(interrupted={interrupted})")
+          f"(interrupted={interrupted}, pool workers={len(workers)})")
     if not interrupted or partial >= total:
         print("error: the run completed before the kill landed; raise "
               "--apps so cells take long enough to interrupt",
               file=sys.stderr)
         return 1
+    if Path("/proc/self/stat").exists():
+        if not workers:
+            print("error: the --jobs 2 run had no pool workers when it "
+                  "was killed", file=sys.stderr)
+            return 1
+        leaked = still_running(workers)
+        if leaked:
+            print(f"error: pool worker(s) {leaked} outlived the killed run",
+                  file=sys.stderr)
+            return 1
 
-    print("[3/4] resume")
+    print("[3/4] resume (--jobs 2)")
     resume = subprocess.run(
-        base + ["--out", str(resumed_out), "--resume"],
+        base + ["--jobs", "2", "--out", str(resumed_out), "--resume"],
         text=True, capture_output=True,
     )
     if resume.returncode != 0:

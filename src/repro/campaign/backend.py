@@ -15,9 +15,22 @@ cells, :class:`ProcessBackend` must return bit-identical records.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import os
+import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..apps.application import reset_instance_ids
 from ..config import DEFAULT_PARAMETERS, SystemParameters
@@ -337,7 +350,9 @@ class SerialBackend:
     on its own cell — never on which other cells shared the call.  That
     is what lets the store layer dispatch cells in snapshot-sized chunks
     (and re-dispatch only the unfinished ones on ``--resume``) with
-    results bit-identical to one monolithic ``run``.
+    results bit-identical to one monolithic ``run``.  A backend may also
+    offer ``scope(cells)``, a context manager inside which those chunks
+    are ``run`` in order (see :meth:`ProcessBackend.scope`).
     """
 
     name = "serial"
@@ -381,6 +396,120 @@ def failure_record(cell: CampaignCell, error: str) -> RunRecord:
     )
 
 
+#: Seconds between a pool worker's checks that its orchestrator still lives.
+_PARENT_POLL_S = 0.25
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: exit as soon as the orchestrator is gone.
+
+    A SIGKILLed orchestrator never sends its workers the shutdown
+    sentinel, and a worker blocked on the call queue would sleep forever,
+    reparented to init.  A daemon thread polls the parent pid instead.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
+def _new_executor(workers: int) -> concurrent.futures.ProcessPoolExecutor:
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
+    )
+
+
+class _SharedPool:
+    """The prefetching worker pool behind one :meth:`ProcessBackend.scope`.
+
+    The first :meth:`collect` forks the workers and submits every cell of
+    the scope in cell order; each later :meth:`collect` only waits on its
+    own chunk's futures while the workers simulate the cells behind it.
+    """
+
+    def __init__(
+        self, backend: "ProcessBackend", cells: Sequence[CampaignCell]
+    ) -> None:
+        self.backend = backend
+        self.cells = list(cells)
+        #: Index of the first cell no :meth:`collect` has claimed yet.
+        self.cursor = 0
+        self.executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        #: Futures of the submitted cells not collected yet, by index.
+        self.futures: Dict[int, concurrent.futures.Future] = {}
+
+    def collect(self, chunk: List[CampaignCell]) -> List[RunRecord]:
+        start, stop = self.cursor, self.cursor + len(chunk)
+        if stop > len(self.cells) or any(
+            cell is not self.cells[index]
+            for index, cell in enumerate(chunk, start)
+        ):
+            raise ValueError(
+                "run() inside a scope must take the scope's next cells, "
+                "in scope order"
+            )
+        self.cursor = stop
+        if not chunk:
+            return []
+        if self.executor is not None and self.executor._broken:
+            # A cell behind this chunk broke the pool between collections:
+            # nothing uncollected has failed, it all runs again below.
+            self.stop()
+        if self.executor is None:
+            self._start(start)
+        futures = {index: self.futures[index] for index in range(start, stop)}
+        records, failures = self.backend._collect(futures, self.executor)
+        for index in futures:
+            del self.futures[index]
+        if failures:
+            # The pool broke while this chunk was collected: its unfinished
+            # cells get isolation retries, the cells behind it a fresh pool
+            # at the next collect.
+            self.stop()
+            self.backend._retry_isolated(self.cells, records, failures)
+        return [records[index] for index in range(start, stop)]
+
+    def _start(self, start: int) -> None:
+        """Fork the workers and submit every cell from ``start`` on.
+
+        Called from ``run()``, never at scope entry, so the workers fork
+        inside the ``run`` call that first needs them.
+        """
+        self.executor = _new_executor(min(self.backend.jobs, len(self.cells) - start))
+        for index in range(start, len(self.cells)):
+            try:
+                self.futures[index] = self.executor.submit(
+                    execute_cell, self.cells[index]
+                )
+            except BrokenProcessPool as exc:
+                # A cell submitted a moment ago already broke the pool:
+                # the unsubmitted cells fail over like its pending ones.
+                broken: concurrent.futures.Future = concurrent.futures.Future()
+                broken.set_exception(exc)
+                self.futures.update(
+                    dict.fromkeys(range(index, len(self.cells)), broken)
+                )
+                break
+
+    def stop(self) -> None:
+        """Shut the pool down and reap its workers (no-op when stopped)."""
+        executor, self.executor = self.executor, None
+        futures, self.futures = self.futures, {}
+        if executor is None:
+            return
+        if any(not future.done() for future in futures.values()):
+            # Nobody will collect these (a chunk raised, or the pool
+            # broke): kill the workers rather than wait, since a hung cell
+            # would block shutdown forever.
+            self.backend._terminate_workers(executor)
+        executor.shutdown(wait=True, cancel_futures=True)
+
+
 @dataclass
 class ProcessBackend:
     """Fan cells out over a process pool, surviving crashed workers.
@@ -394,12 +523,14 @@ class ProcessBackend:
       :class:`BrokenProcessPool` rather than waiting on a lost task);
     * bounds each cell's wall-clock with ``timeout_s`` (hung workers are
       terminated, not waited on);
-    * re-executes every unfinished cell deterministically in a fresh
-      single-worker pool, up to ``max_retries`` isolation rounds —
-      a transiently killed worker (OOM reaper, operator signal) costs a
-      retry, not the campaign;
+    * re-executes every unfinished cell of the chunk being collected
+      deterministically in a fresh single-worker pool, up to
+      ``max_retries`` isolation rounds — a transiently killed worker (OOM
+      reaper, operator signal) costs a retry, not the campaign;
     * surfaces cells that still fail as :func:`failure_record` entries
-      instead of raising, so the healthy records survive.
+      instead of raising, so the healthy records survive;
+    * starts its workers with a watchdog that ends them when the
+      orchestrating process dies, even by SIGKILL.
 
     Exceptions raised *by the simulation itself* (``DrainError``, bad
     specs) are real results, not infrastructure faults — they propagate
@@ -407,9 +538,6 @@ class ProcessBackend:
     """
 
     jobs: int = 2
-    #: Retained for construction compatibility; the executor always ships
-    #: one cell per task so long and short cells stay load-balanced.
-    chunksize: int = 1
     #: Per-cell wall-clock bound in seconds (None = unbounded).  Measured
     #: from when collection reaches the cell, so an earlier slow cell can
     #: only lengthen — never shorten — a later cell's budget.
@@ -418,6 +546,9 @@ class ProcessBackend:
     #: are surfaced as failure records.
     max_retries: int = 1
     name: str = field(init=False, default="process")
+    _pool: Optional[_SharedPool] = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -425,20 +556,88 @@ class ProcessBackend:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
+    @contextlib.contextmanager
+    def scope(self, cells: Sequence[CampaignCell]) -> Iterator[None]:
+        """Share one prefetching pool across every ``run`` over ``cells``.
+
+        Inside the scope, each ``run`` must take the next cells of
+        ``cells`` in order (the store layer's snapshot chunks).  The first
+        ``run`` starts the pool and submits every cell; later ones collect
+        results the workers computed while the caller was persisting the
+        previous chunk.  When a crash or timeout breaks the pool, the
+        chunk being collected gets the isolation retries and the cells
+        behind it run again on a fresh pool, uncounted as failures.
+        Leaving the scope shuts the pool down and reaps its workers.
+        """
+        if self._pool is not None:
+            raise RuntimeError("ProcessBackend scopes do not nest")
+        self._pool = _SharedPool(self, cells)
+        try:
+            yield
+        finally:
+            pool, self._pool = self._pool, None
+            pool.stop()
+
     def run(self, cells: Sequence[CampaignCell]) -> List[RunRecord]:
         cells = list(cells)
+        if self.jobs > 1 and self._pool is not None:
+            return self._pool.collect(cells)
         if self.jobs == 1 or len(cells) <= 1:
+            # A lone one-shot cell is not worth forking a pool for.
             return SerialBackend().run(cells)
-        records, failures = self._round(cells, range(len(cells)), self.jobs)
+        with self.scope(cells):
+            return self._pool.collect(cells)
+
+    def _collect(
+        self,
+        futures: Dict[int, concurrent.futures.Future],
+        executor: concurrent.futures.ProcessPoolExecutor,
+    ) -> Tuple[Dict[int, RunRecord], Dict[int, str]]:
+        """Wait on ``futures`` in order: records, and failures to retry."""
+        records: Dict[int, RunRecord] = {}
+        failures: Dict[int, str] = {}
+        for index, future in futures.items():
+            try:
+                records[index] = future.result(timeout=self.timeout_s)
+            except concurrent.futures.TimeoutError:
+                failures[index] = f"cell timed out after {self.timeout_s:g}s"
+                # result(timeout=...) leaves the worker running; kill the
+                # pool's processes so the hung task cannot block shutdown
+                # (pending siblings fail over to retry).
+                self._terminate_workers(executor)
+            except BrokenProcessPool:
+                # The dying worker is not attributable to one future:
+                # every unfinished cell fails over to the retry round.
+                failures[index] = "worker process crashed"
+            except concurrent.futures.CancelledError:
+                failures[index] = "cancelled after pool breakage"
+        return records, failures
+
+    def _retry_isolated(
+        self,
+        cells: Sequence[CampaignCell],
+        records: Dict[int, RunRecord],
+        failures: Dict[int, str],
+    ) -> None:
+        """Settle ``failures`` into ``records``: retried, else failure records.
+
+        Isolation mode: each failed cell retries in its own fresh
+        single-worker pool, so a poison cell can only break its own pool
+        and healthy siblings caught in the breakage complete.
+        """
         for _ in range(self.max_retries):
             if not failures:
                 break
-            # Isolation mode: each failed cell retries in its own fresh
-            # single-worker pool, so a poison cell can only break its own
-            # pool and healthy siblings caught in the breakage complete.
             still_failing: Dict[int, str] = {}
             for index in sorted(failures):
-                retried, failed = self._round(cells, [index], 1)
+                executor = _new_executor(1)
+                try:
+                    retried, failed = self._collect(
+                        {index: executor.submit(execute_cell, cells[index])},
+                        executor,
+                    )
+                finally:
+                    executor.shutdown(wait=True, cancel_futures=True)
                 records.update(retried)
                 still_failing.update(failed)
             failures = still_failing
@@ -446,46 +645,6 @@ class ProcessBackend:
             records[index] = failure_record(
                 cells[index], f"{error} (after {self.max_retries} retries)"
             )
-        return [records[index] for index in range(len(cells))]
-
-    def _round(
-        self,
-        cells: Sequence[CampaignCell],
-        indices: Iterable[int],
-        workers: int,
-    ) -> Tuple[Dict[int, RunRecord], Dict[int, str]]:
-        """One pool generation: records collected and failures to retry."""
-        indices = list(indices)
-        records: Dict[int, RunRecord] = {}
-        failures: Dict[int, str] = {}
-        executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(indices))
-        )
-        try:
-            futures = {
-                index: executor.submit(execute_cell, cells[index])
-                for index in indices
-            }
-            for index, future in futures.items():
-                try:
-                    records[index] = future.result(timeout=self.timeout_s)
-                except concurrent.futures.TimeoutError:
-                    failures[index] = (
-                        f"cell timed out after {self.timeout_s:g}s"
-                    )
-                    # result(timeout=...) leaves the worker running; kill
-                    # the pool's processes so the hung task cannot block
-                    # shutdown (pending siblings fail over to retry).
-                    self._terminate_workers(executor)
-                except BrokenProcessPool:
-                    # The dying worker is not attributable to one future:
-                    # every unfinished cell fails over to the retry round.
-                    failures[index] = "worker process crashed"
-                except concurrent.futures.CancelledError:
-                    failures[index] = "cancelled after pool breakage"
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-        return records, failures
 
     @staticmethod
     def _terminate_workers(executor) -> None:

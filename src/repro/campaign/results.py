@@ -104,7 +104,29 @@ class RunRecord:
         return bool(self.error)
 
     def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        # Equal to ``dataclasses.asdict(self)`` without its deep copy of
+        # every value: the containers hold JSON scalars (the digest one
+        # level of maps), so copying each container already shares none.
+        return {
+            "scenario": self.scenario,
+            "system": self.system,
+            "condition": self.condition,
+            "sequence_index": self.sequence_index,
+            "seed": self.seed,
+            "n_apps": self.n_apps,
+            "makespan_ms": self.makespan_ms,
+            "response_times_ms": list(self.response_times_ms),
+            "counters": dict(self.counters),
+            "fingerprint": self.fingerprint,
+            "shard": self.shard,
+            "utilization": dict(self.utilization),
+            "response_digest": {
+                key: dict(value) if isinstance(value, dict) else value
+                for key, value in self.response_digest.items()
+            },
+            "error": self.error,
+            "schema": self.schema,
+        }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "RunRecord":

@@ -64,19 +64,14 @@ class Projection:
         """Fold one :class:`CampaignSnapshot` (default: ignore)."""
 
     # -- folding ----------------------------------------------------------
-    def fold(self, notification: Notification) -> None:
+    def fold(self, notification: Notification, item: object) -> None:
+        """Fold one notification; ``item`` is its decoded payload."""
         if notification.kind == KIND_RECORD:
-            from ..campaign.results import RunRecord  # lazy: avoids a cycle
-
-            self.fold_record(RunRecord.from_dict(notification.payload))
+            self.fold_record(item)
         elif notification.kind == KIND_EVENT:
-            from ..telemetry.events import event_from_dict
-
-            self.fold_event(event_from_dict(notification.payload))
+            self.fold_event(item)
         elif notification.kind == KIND_SNAPSHOT:
-            from .snapshot import CampaignSnapshot
-
-            self.fold_snapshot(CampaignSnapshot.from_dict(notification.payload))
+            self.fold_snapshot(item)
         self.watermark = notification.id
 
     def load(self, store) -> "Projection":
@@ -97,13 +92,7 @@ class Projection:
         notifications were consumed; with ``save`` the advanced state
         persists back into the store.
         """
-        fresh = store.select(start=self.watermark + 1)
-        for notification in fresh:
-            self.fold(notification)
-        self.last_fold_count = len(fresh)
-        if save and fresh:
-            self.save(store)
-        return len(fresh)
+        return _fold_new([self], store, save)[0]
 
     def rebuild(self, store, save: bool = False) -> int:
         """Drop all state and re-fold the whole log from notification 1."""
@@ -579,17 +568,62 @@ def default_projections() -> List[Projection]:
     ]
 
 
+def _decode(notification: Notification) -> object:
+    """The object the fold hooks take for ``notification`` (None: unknown kind)."""
+    if notification.kind == KIND_RECORD:
+        from ..campaign.results import RunRecord  # lazy: avoids a cycle
+
+        return RunRecord.from_dict(notification.payload)
+    if notification.kind == KIND_EVENT:
+        from ..telemetry.events import event_from_dict
+
+        return event_from_dict(notification.payload)
+    if notification.kind == KIND_SNAPSHOT:
+        from .snapshot import CampaignSnapshot
+
+        return CampaignSnapshot.from_dict(notification.payload)
+    return None
+
+
+def _fold_new(projections: List[Projection], store, save: bool) -> List[int]:
+    """Fold the notifications past each projection's own watermark.
+
+    The log is selected once, from the oldest watermark, and each
+    notification decoded once however many projections fold it: the
+    fold hooks only read what they are given.  Returns the fold counts
+    in ``projections`` order; with ``save`` each advanced state persists.
+    """
+    if not projections:
+        return []
+    since = [projection.watermark for projection in projections]
+    fresh = store.select(start=min(since) + 1)
+    for notification in fresh:
+        item = _decode(notification)
+        for projection, watermark in zip(projections, since):
+            if notification.id > watermark:
+                projection.fold(notification, item)
+    counts = []
+    for projection, watermark in zip(projections, since):
+        count = sum(1 for notification in fresh if notification.id > watermark)
+        projection.last_fold_count = count
+        if save and count:
+            projection.save(store)
+        counts.append(count)
+    return counts
+
+
 def update_projections(store, projections: Optional[List[Projection]] = None) -> Dict[str, int]:
     """Catch every (given or built-in) projection up to the log head.
 
     Each projection restores its persisted watermark, folds only the
     newer notifications, and saves.  Returns ``{name: folded}``.
     """
-    folded: Dict[str, int] = {}
-    for projection in projections if projections is not None else default_projections():
+    if projections is None:
+        projections = default_projections()
+    for projection in projections:
         projection.load(store)
-        folded[projection.name] = projection.apply(store, save=True)
-    return folded
+    counts = _fold_new(projections, store, save=True)
+    return {projection.name: count for projection, count in zip(projections, counts)}
 
 
 def verify_store_projections(store) -> List[str]:
@@ -600,21 +634,19 @@ def verify_store_projections(store) -> List[str]:
     notification 1, and demand identical watermark and state.  Returns
     human-readable divergence strings (empty = all equal).
     """
+    incrementals = [projection.load(store) for projection in default_projections()]
+    fulls = default_projections()
+    _fold_new(incrementals + fulls, store, save=False)
     divergences: List[str] = []
-    for projection in default_projections():
-        incremental = type(projection)()
-        incremental.load(store)
-        incremental.apply(store, save=False)
-        full = type(projection)()
-        full.rebuild(store)
+    for incremental, full in zip(incrementals, fulls):
         if incremental.watermark != full.watermark:
             divergences.append(
-                f"{projection.name}: incremental watermark "
+                f"{full.name}: incremental watermark "
                 f"{incremental.watermark} != rebuilt {full.watermark}"
             )
         if incremental.state_dict() != full.state_dict():
             divergences.append(
-                f"{projection.name}: incremental state diverges from a "
+                f"{full.name}: incremental state diverges from a "
                 "full rebuild (stale or corrupted persisted projection?)"
             )
     return divergences

@@ -14,6 +14,7 @@ uninterrupted one.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -117,39 +118,44 @@ def execute_with_store(
 
     chunk_size = snapshot_every if snapshot_every > 0 else len(pending)
     snapshots = 0
-    for at in range(0, len(pending), max(chunk_size, 1)):
-        chunk = pending[at : at + chunk_size]
-        chunk_records = backend.run([cells[i] for i in chunk])
-        for index, record in zip(chunk, chunk_records):
-            results[index] = record
-        # Records land before the snapshot that covers them: a crash
-        # between the two appends only loses the checkpoint, never work —
-        # resume's tail scan re-derives the uncovered records.
-        campaign_store.append_records(chunk_records)
-        if snapshot_every > 0:
-            done = [i for i in range(len(cells)) if i in results]
-            done_records = [
-                results[i] for i in done if not results[i].failed
-            ]
-            campaign_store.record_snapshot(
-                CampaignSnapshot(
-                    completed=tuple(
-                        keys[i] for i in done if not results[i].failed
-                    ),
-                    digest=_merged_digest(done_records),
-                    cells=tuple(
-                        cell_spec(cells[i])
-                        for i in done
-                        if not results[i].failed
-                    ),
-                    covered_id=campaign_store.max_id(),
+    # One backend scope over every pending cell: a pooled backend keeps
+    # its workers simulating later chunks while this loop persists the
+    # current one.
+    scope = getattr(backend, "scope", None)
+    with scope([cells[i] for i in pending]) if scope else nullcontext():
+        for at in range(0, len(pending), max(chunk_size, 1)):
+            chunk = pending[at : at + chunk_size]
+            chunk_records = backend.run([cells[i] for i in chunk])
+            for index, record in zip(chunk, chunk_records):
+                results[index] = record
+            # Records land before the snapshot that covers them: a crash
+            # between the two appends only loses the checkpoint, never
+            # work — resume's tail scan re-derives the uncovered records.
+            campaign_store.append_records(chunk_records)
+            if snapshot_every > 0:
+                done = [i for i in range(len(cells)) if i in results]
+                done_records = [
+                    results[i] for i in done if not results[i].failed
+                ]
+                campaign_store.record_snapshot(
+                    CampaignSnapshot(
+                        completed=tuple(
+                            keys[i] for i in done if not results[i].failed
+                        ),
+                        digest=_merged_digest(done_records),
+                        cells=tuple(
+                            cell_spec(cells[i])
+                            for i in done
+                            if not results[i].failed
+                        ),
+                        covered_id=campaign_store.max_id(),
+                    )
                 )
-            )
-            snapshots += 1
-        if refresh_projections:
-            from .projections import update_projections
+                snapshots += 1
+            if refresh_projections:
+                from .projections import update_projections
 
-            update_projections(campaign_store)
+                update_projections(campaign_store)
 
     if not pending and refresh_projections:
         from .projections import update_projections

@@ -318,6 +318,33 @@ class TestResultsStore:
         with pytest.raises(ValueError, match="short.jsonl:1.*missing fields"):
             load_records(path)
 
+    def test_to_dict_equals_asdict_and_shares_no_container(self):
+        import dataclasses
+
+        from repro.campaign import failure_record
+
+        (cell,) = CampaignRunner().cells_for(Scenario(
+            name="to-dict",
+            workload=WorkloadSpec(Condition.STRESS, n_apps=3),
+            systems=("Nimblock",),
+        ))
+        raw = execute_cell(dataclasses.replace(cell, keep_raw_samples=True))
+        digest_only = execute_cell(cell)
+        failed = failure_record(cell, "worker process crashed")
+        assert raw.response_times_ms and raw.response_digest
+        assert digest_only.response_digest and not digest_only.response_times_ms
+        for record in (raw, digest_only, failed):
+            payload = record.to_dict()
+            expected = dataclasses.asdict(record)
+            assert payload == expected
+            assert list(payload) == list(expected)
+            for name in ("response_times_ms", "counters", "utilization",
+                         "response_digest"):
+                assert payload[name] is not getattr(record, name)
+            if record.response_digest:
+                assert payload["response_digest"]["buckets"] is not \
+                    record.response_digest["buckets"]
+
     def test_fingerprint_tracks_overrides(self):
         base = fingerprint_parameters(DEFAULT_PARAMETERS)
         tweaked = fingerprint_parameters(

@@ -47,6 +47,7 @@ from repro.store import (
     SqliteRecorder,
     TelemetryCounterProjection,
     cell_key,
+    default_projections,
     execute_with_store,
     is_sqlite_path,
     open_store,
@@ -486,6 +487,39 @@ class TestProjections:
             assert all(
                 n == 0 for n in update_projections(store).values()
             )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_update_projections_with_one_watermark_behind(
+        self, tmp_path, backend, campaign_records
+    ):
+        # update_projections selects and decodes the log once for all
+        # projections; per-projection apply must fold the same counts and
+        # persist the same states, even when the watermarks differ.
+        _, records = campaign_records
+
+        def staggered(name):
+            store = open_store(tmp_path / f"{name}.{_suffix(backend)}",
+                               backend=backend)
+            store.append_records(records[:1])
+            update_projections(store)
+            store.append_records(records[1:2])
+            FigureProjection().load(store).apply(store)  # runs ahead alone
+            store.append_records(records[2:])
+            return store
+
+        with staggered("shared") as shared, staggered("apart") as apart:
+            folded = update_projections(shared)
+            expected = {
+                projection.name: projection.load(apart).apply(apart)
+                for projection in default_projections()
+            }
+            assert folded == expected
+            assert folded["figures"] == len(records) - 2
+            assert folded["summary"] == len(records) - 1
+            for name in folded:
+                assert shared.get_projection(name) == \
+                    apart.get_projection(name)
+            assert verify_store_projections(shared) == []
 
 
 class TestStoreCli:
