@@ -1,9 +1,7 @@
 """Packaging for the VersaSlot reproduction.
 
-The core package is dependency-free; ``repro[fast]`` pulls in numpy for
-the vectorized workload-sampling backend (``repro.workloads.sampling``).
-Without the extra, every sampler transparently falls back to the
-pure-python backend and produces byte-identical samples — only slower.
+The package imports only the Python standard library; ``repro[test]``
+adds the test runner.
 """
 
 from setuptools import find_packages, setup
@@ -19,10 +17,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=[],
-    extras_require={
-        # Vectorized workload generation; optional because the python
-        # backend is sample-identical (see tests/test_sampling.py).
-        "fast": ["numpy"],
-        "test": ["pytest", "hypothesis"],
-    },
+    extras_require={"test": ["pytest", "hypothesis"]},
 )

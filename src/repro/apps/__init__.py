@@ -18,7 +18,6 @@ from .partition import (
     synthesize_bundle,
 )
 from .pipeline import (
-    TaskGraph,
     estimate_big_makespan_ms,
     estimate_makespan_ms,
     wave_partition,
@@ -31,7 +30,6 @@ __all__ = [
     "ApplicationSpec",
     "BundleSpec",
     "FIG7_APPS",
-    "TaskGraph",
     "TaskSpec",
     "benchmark_names",
     "build_application",

@@ -1,9 +1,7 @@
 """Task dependency pipelines and analytic makespan estimators.
 
 Applications execute as item-level pipelines across slots: item ``b`` of
-task ``k`` waits for item ``b`` of task ``k-1``.  The default dependency
-graph is the linear chain the paper uses; :class:`TaskGraph` also accepts
-general DAGs (an extension exercised by the property tests).
+task ``k`` waits for item ``b`` of task ``k-1`` (the paper's linear chain).
 
 The analytic estimators answer "how long would this application take with
 ``s`` slots?" — the quantity the ILP-based optimal slot allocation of
@@ -12,53 +10,9 @@ Nimblock/DML (and hence Algorithm 1's ``O_Ai``) optimizes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-import networkx as nx
+from typing import List, Sequence, Tuple
 
 from .application import ApplicationSpec, TaskSpec, pipelined_exec_time
-
-
-class TaskGraph:
-    """A DAG of task dependencies for one application."""
-
-    def __init__(self, app: ApplicationSpec, edges: Iterable[Tuple[int, int]] = ()) -> None:
-        self.app = app
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(range(app.task_count))
-        edge_list = list(edges)
-        if not edge_list:
-            edge_list = [(i, i + 1) for i in range(app.task_count - 1)]
-        for src, dst in edge_list:
-            if not (0 <= src < app.task_count and 0 <= dst < app.task_count):
-                raise ValueError(f"edge ({src}, {dst}) references a missing task")
-            self.graph.add_edge(src, dst)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            raise ValueError(f"task graph of {app.name!r} contains a cycle")
-
-    @property
-    def is_linear_chain(self) -> bool:
-        """True for the paper's default linear pipeline."""
-        expected = {(i, i + 1) for i in range(self.app.task_count - 1)}
-        return set(self.graph.edges) == expected
-
-    def predecessors(self, task_index: int) -> List[int]:
-        """Tasks whose per-item output task ``task_index`` consumes."""
-        return sorted(self.graph.predecessors(task_index))
-
-    def topological_order(self) -> List[int]:
-        """A deterministic topological ordering of the tasks."""
-        return list(nx.lexicographical_topological_sort(self.graph))
-
-    def critical_path_ms(self, batch_size: int = 1) -> float:
-        """Latency lower bound: longest path weighted by task latencies."""
-        order = self.topological_order()
-        finish: Dict[int, float] = {}
-        for node in order:
-            preds = self.predecessors(node)
-            start = max((finish[p] for p in preds), default=0.0)
-            finish[node] = start + self.app.tasks[node].exec_time_ms * batch_size
-        return max(finish.values())
 
 
 def wave_partition(task_count: int, slot_count: int) -> List[Tuple[int, int]]:

@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--out", type=str, default=None, metavar="PATH",
-            help="append per-run JSONL records to PATH (replayable via `replay`)",
+            help="append per-run records to PATH: JSONL, or a SQLite store "
+                 "for a .sqlite/.db path (replayable via `replay`)",
         )
 
     def add_durability_options(p: argparse.ArgumentParser) -> None:
@@ -722,8 +723,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "fig8":
         result = run_fig8(
-            seed=args.seed, n_apps=args.apps, jobs=args.jobs,
-            store=ResultsStore(args.out) if args.out else None,
+            seed=args.seed, n_apps=args.apps, jobs=args.jobs, store=args.out,
         )
         print(trace_plot(
             [s.value for s in result.samples],

@@ -16,7 +16,7 @@ exposed as a parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import random
 
@@ -140,7 +140,7 @@ def run_fig8(
     interval_range: Tuple[float, float] = (400.0, 900.0),
     params: Optional[SystemParameters] = None,
     jobs: int = 1,
-    store: Optional[ResultsStore] = None,
+    store: Optional[Union[ResultsStore, str]] = None,
 ) -> Fig8Result:
     """Regenerate Fig. 8: trace, switch overhead and mode comparison.
 

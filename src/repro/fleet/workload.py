@@ -24,22 +24,19 @@ representable in the verify fuzzer's flat repro files.
 
 Generation is *phased*: all application names are drawn first, then all
 batch sizes, then all inter-arrival gaps — each phase one contiguous block
-of same-type draws from the stream.  That structure lets
-:class:`~repro.workloads.sampling.BatchSampler` vectorize every phase with
-numpy while its pure-python fallback consumes the identical draws, so the
-two backends are sample-identical by construction (pinned in
-``tests/test_sampling.py``).
+of same-type draws from the stream.  Every persisted fleet stream depends
+on that order (pinned by digest in ``tests/test_fleet.py``).
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..apps.benchmarks import BENCHMARKS
 from ..workloads.generator import BATCH_RANGE, Arrival, Condition
-from ..workloads.sampling import BatchSampler
 
 #: The recognized stream shapes, in registry order.
 FLEET_WORKLOAD_KINDS = (
@@ -95,19 +92,15 @@ class FleetWorkload:
     def app_names(self) -> List[str]:
         return list(self.apps) if self.apps else list(BENCHMARKS)
 
-    def arrivals(
-        self, seed: int, index: int = 0, backend: str = "auto"
-    ) -> List[Arrival]:
+    def arrivals(self, seed: int, index: int = 0) -> List[Arrival]:
         """The global arrival stream under ``(seed, index)``.
 
-        Drawn in three phases (names, batch sizes, gaps) so the numpy
-        backend vectorizes whole blocks; ``backend`` is passed through to
-        :class:`BatchSampler` (``"auto"``/``"numpy"``/``"python"`` — all
-        sample-identical).
+        Drawn in three phases: all names, then all batch sizes, then all
+        inter-arrival gaps.
         """
         if self.kind == "multi-tenant":
-            return self._multi_tenant(seed, index, backend)
-        sampler = BatchSampler(f"fleet/{self.kind}/{seed}/{index}", backend)
+            return self._multi_tenant(seed, index)
+        rng = random.Random(f"fleet/{self.kind}/{seed}/{index}")
         names = self.app_names()
         n = self.n_apps
         lo_batch, hi_batch = self.batch_range
@@ -116,47 +109,38 @@ class FleetWorkload:
         if self.kind == "hot-skew":
             weights = [1.0 / (rank + 1) ** HOT_SKEW_EXPONENT
                        for rank in range(len(names))]
-            name_indices = sampler.weighted_indices(weights, n)
+            picked = rng.choices(names, weights=weights, k=n)
         else:
-            name_indices = sampler.choice_indices(len(names), n)
+            picked = [rng.choice(names) for _ in range(n)]
         # Phase 2: batch sizes.
-        batch_sizes = sampler.randint_block(lo_batch, hi_batch, n)
-        # Phase 3: inter-arrival gaps (one block draw; the diurnal rate
-        # modulation is a sequential transform of the drawn block, not
-        # extra stream consumption).
-        times: List[float] = []
-        t = 0.0
-        if self.kind == "diurnal":
-            raw_gaps = sampler.uniform_block(interval_lo, interval_hi, n)
-            for gap in raw_gaps:
-                times.append(t)
-                # Arrival *rate* swings sinusoidally between 1x and the
-                # peak factor; intervals divide by the current rate.
-                phase = 2.0 * math.pi * t / DIURNAL_PERIOD_MS
-                rate = 1.0 + (DIURNAL_PEAK_FACTOR - 1.0) * 0.5 * (1.0 - math.cos(phase))
-                t += gap / rate
-        elif self.kind == "bursty":
+        batch_sizes = [rng.randint(lo_batch, hi_batch) for _ in range(n)]
+        # Phase 3: inter-arrival gaps (the diurnal rate modulation is a
+        # sequential transform of the drawn gaps, not extra draws).
+        if self.kind == "bursty":
             # Pareto gaps rescaled so the mean gap stays at the base
             # regime's mean interval (alpha/(alpha-1) is the Pareto mean).
             base_interval = (interval_lo + interval_hi) / 2.0
             scale = base_interval * (BURSTY_TAIL_ALPHA - 1.0) / BURSTY_TAIL_ALPHA
-            for variate in sampler.pareto_block(BURSTY_TAIL_ALPHA, n):
-                times.append(t)
-                t += scale * variate
-        else:  # uniform, hot-skew
-            for gap in sampler.uniform_block(interval_lo, interval_hi, n):
-                times.append(t)
-                t += gap
+            gaps = [scale * rng.paretovariate(BURSTY_TAIL_ALPHA) for _ in range(n)]
+        else:
+            gaps = [rng.uniform(interval_lo, interval_hi) for _ in range(n)]
+        times: List[float] = []
+        t = 0.0
+        for gap in gaps:
+            times.append(t)
+            if self.kind == "diurnal":
+                # Arrival *rate* swings sinusoidally between 1x and the
+                # peak factor; intervals divide by the current rate.
+                phase = 2.0 * math.pi * t / DIURNAL_PERIOD_MS
+                rate = 1.0 + (DIURNAL_PEAK_FACTOR - 1.0) * 0.5 * (1.0 - math.cos(phase))
+                gap /= rate
+            t += gap
         return [
-            Arrival(app_name=names[name_indices[i]],
-                    batch_size=batch_sizes[i],
-                    time_ms=times[i])
-            for i in range(n)
+            Arrival(app_name=name, batch_size=batch, time_ms=time_ms)
+            for name, batch, time_ms in zip(picked, batch_sizes, times)
         ]
 
-    def _multi_tenant(
-        self, seed: int, index: int, backend: str = "auto"
-    ) -> List[Arrival]:
+    def _multi_tenant(self, seed: int, index: int) -> List[Arrival]:
         """Independent per-tenant phased streams merged by arrival time."""
         names = self.app_names()
         lo_batch, hi_batch = self.batch_range
@@ -170,17 +154,15 @@ class FleetWorkload:
             remaining -= count
             if count <= 0:
                 continue
-            sampler = BatchSampler(
-                f"fleet/multi-tenant/{seed}/{index}/{label}", backend
-            )
+            rng = random.Random(f"fleet/multi-tenant/{seed}/{index}/{label}")
             interval_lo, interval_hi = condition.interval_range
-            name_indices = sampler.choice_indices(len(names), count)
-            batch_sizes = sampler.randint_block(lo_batch, hi_batch, count)
-            gaps = sampler.uniform_block(interval_lo, interval_hi, count)
+            picked = [rng.choice(names) for _ in range(count)]
+            batch_sizes = [rng.randint(lo_batch, hi_batch) for _ in range(count)]
+            gaps = [rng.uniform(interval_lo, interval_hi) for _ in range(count)]
             t = 0.0
             for order in range(count):
                 arrival = Arrival(
-                    app_name=names[name_indices[order]],
+                    app_name=picked[order],
                     batch_size=batch_sizes[order],
                     time_ms=t,
                 )

@@ -3,7 +3,7 @@
 from .base import OnBoardScheduler, PRPlan, ResponseRecord, SchedulerStats
 from .baseline import BaselineScheduler
 from .fcfs import FCFSScheduler
-from .ilp import allocate_slots_milp, optimal_big_slots, optimal_little_slots
+from .ilp import optimal_big_slots, optimal_little_slots
 from .nimblock import NimblockScheduler
 from .round_robin import RoundRobinScheduler
 from .runtime import AppRun, BundleRun, TaskRun
@@ -20,7 +20,6 @@ __all__ = [
     "RoundRobinScheduler",
     "SchedulerStats",
     "TaskRun",
-    "allocate_slots_milp",
     "optimal_big_slots",
     "optimal_little_slots",
 ]

@@ -127,20 +127,28 @@ class SqliteRecorder(EventRecorder):
         #: Parity with the JSONL results store: SQLite cannot tear lines.
         self.skipped_lines = 0
         self._conn = sqlite3.connect(str(self.path), isolation_level=None)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS notifications ("
-            " id INTEGER PRIMARY KEY AUTOINCREMENT,"
-            " kind TEXT NOT NULL,"
-            " payload TEXT NOT NULL)"
-        )
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS projections ("
-            " name TEXT PRIMARY KEY,"
-            " watermark INTEGER NOT NULL,"
-            " state TEXT NOT NULL)"
-        )
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute(
+                "CREATE TABLE IF NOT EXISTS notifications ("
+                " id INTEGER PRIMARY KEY AUTOINCREMENT,"
+                " kind TEXT NOT NULL,"
+                " payload TEXT NOT NULL)"
+            )
+            self._conn.execute(
+                "CREATE TABLE IF NOT EXISTS projections ("
+                " name TEXT PRIMARY KEY,"
+                " watermark INTEGER NOT NULL,"
+                " state TEXT NOT NULL)"
+            )
+        except sqlite3.DatabaseError as exc:
+            # e.g. a JSONL file behind a .sqlite name: a typed input error,
+            # not a traceback.
+            self._conn.close()
+            raise ValueError(
+                f"cannot open SQLite store {self.path}: {exc}"
+            ) from exc
 
     def append(
         self, entries: Iterable[Tuple[str, Dict[str, object]]]

@@ -11,13 +11,10 @@ from .generator import (
     total_work_ms,
 )
 from .phases import Phase, PhasedWorkload, poisson_sequence, ramp_workload
-from .sampling import BatchSampler, numpy_or_none
 from .trace import dumps, load, loads, save
 
 __all__ = [
     "Arrival",
-    "BatchSampler",
-    "numpy_or_none",
     "Phase",
     "PhasedWorkload",
     "poisson_sequence",

@@ -10,7 +10,6 @@ from repro.apps import (
     ApplicationInstance,
     ApplicationSpec,
     BundleSpec,
-    TaskGraph,
     TaskSpec,
     build_application,
     estimate_big_makespan_ms,
@@ -158,34 +157,6 @@ class TestBenchmarkTables:
     def test_build_application_validates_lengths(self):
         with pytest.raises(ValueError):
             build_application("x", [1.0, 2.0], [0.5], [0.4, 0.4])
-
-
-class TestTaskGraph:
-    def test_default_linear_chain(self):
-        graph = TaskGraph(BENCHMARKS["IC"])
-        assert graph.is_linear_chain
-        assert graph.predecessors(0) == []
-        assert graph.predecessors(3) == [2]
-
-    def test_custom_dag(self):
-        app = BENCHMARKS["3DR"]
-        graph = TaskGraph(app, edges=[(0, 2), (1, 2)])
-        assert not graph.is_linear_chain
-        assert graph.predecessors(2) == [0, 1]
-
-    def test_cycle_rejected(self):
-        with pytest.raises(ValueError, match="cycle"):
-            TaskGraph(BENCHMARKS["3DR"], edges=[(0, 1), (1, 0)])
-
-    def test_bad_edge_rejected(self):
-        with pytest.raises(ValueError):
-            TaskGraph(BENCHMARKS["3DR"], edges=[(0, 9)])
-
-    def test_critical_path_linear(self):
-        app = BENCHMARKS["3DR"]
-        graph = TaskGraph(app)
-        expected = sum(t.exec_time_ms for t in app.tasks)
-        assert graph.critical_path_ms(1) == pytest.approx(expected)
 
 
 class TestMakespanEstimators:

@@ -126,19 +126,24 @@ class TestCLI:
 
     def test_bench_gates_against_baseline(self, quick_args, tmp_path, capsys):
         out, argv = quick_args
-        # Record a first entry, then gate a second run against it: the
-        # same machine moments apart is comfortably inside 30%.
         assert run_cli(*argv) == 0
-        assert run_cli(*argv, "--baseline", str(out)) == 0
+        recorded = json.loads(out.read_text())["history"][-1]
+
+        def baseline_scaled(name, factor):
+            entry = json.loads(json.dumps(recorded))
+            entry["results"]["kernel_event_throughput"]["throughput"] *= factor
+            path = tmp_path / name
+            path.write_text(json.dumps({"schema": bench.BENCH_SCHEMA,
+                                        "history": [entry]}))
+            return str(path)
+
+        # A one-round run on a loaded host can swing far more than the 30%
+        # tolerance, so the passing half gates against a deflated copy of
+        # the recorded entry rather than against a second live run.
+        assert run_cli(*argv, "--baseline", baseline_scaled("deflated.json", 0.01)) == 0
         assert "no regression" in capsys.readouterr().out
         # An inflated synthetic baseline must fail the gate (exit 1).
-        inflated = tmp_path / "inflated.json"
-        data = json.loads(out.read_text())
-        entry = data["history"][-1]
-        entry["results"]["kernel_event_throughput"]["throughput"] *= 100
-        inflated.write_text(json.dumps({"schema": bench.BENCH_SCHEMA,
-                                        "history": [entry]}))
-        assert run_cli(*argv, "--baseline", str(inflated)) == 1
+        assert run_cli(*argv, "--baseline", baseline_scaled("inflated.json", 100)) == 1
         assert "throughput regression" in capsys.readouterr().err
 
     def test_no_write_leaves_trajectory_alone(self, quick_args):

@@ -7,6 +7,7 @@ bit-identical per-shard work.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -148,7 +149,51 @@ class TestRouting:
 # ----------------------------------------------------------------------
 # Fleet workload families
 # ----------------------------------------------------------------------
+#: sha256 of ``repr(arrivals(seed, index))`` over every size, seed and
+#: index below, per (kind, condition).  Any change to the phased draw
+#: order or to a sampling primitive changes every persisted fleet stream.
+#: Multi-tenant tenants bring their own regimes, so its four digests agree.
+STREAM_SIZES = (1, 7, 48, 200)
+STREAM_SEEDS = (0, 1, 7, 2024)
+STREAM_INDICES = (0, 3)
+STREAM_DIGESTS = {
+    ("uniform", "LOOSE"): "2bdeed92b5af937ceded79f3fe7716d660a0a9bd9b58d8cbbf45e4194a594954",
+    ("uniform", "STANDARD"): "e6e001bfecfcb14f8f709f36e93cd10449c6d6d21272639380f7fbe8264b6ee6",
+    ("uniform", "STRESS"): "4be4d818560f45add35fb5ee33e25d556b23539b6ffe184d3508df2691b156b6",
+    ("uniform", "REAL_TIME"): "893a79e3a34b41855f71d5749ab827bcd538fac9d5e88e3c31c4e0810a2dc100",
+    ("diurnal", "LOOSE"): "2ab9a419f4527eb439ee7a421415b62b8e2df31aa27f43e6fe4a13ec4ece8eae",
+    ("diurnal", "STANDARD"): "5538e8e8379e89da46855e1c47aaeab81efd8cc9e6dec89ed34cc93ef3a4aedb",
+    ("diurnal", "STRESS"): "b74742726e8639adcda01364b7d0c71ed1ee30cef55697cee044823747162126",
+    ("diurnal", "REAL_TIME"): "21168ceb58b2c9e0d4cb98728f1dc3c4482221697d6050b8f14680e36b062a55",
+    ("bursty", "LOOSE"): "dd782960d286c2676d8e344c0f7767433f433b599ee74ae89094edaccd32a5fc",
+    ("bursty", "STANDARD"): "bfa1c7865ce342bfc68953b1fb256bcb1a4f3e3efcf1833b17cc5fff2acdd5a2",
+    ("bursty", "STRESS"): "d04e476bcf89f2e8045c2c641590e09bbea8da590684c9998abe275da4177d80",
+    ("bursty", "REAL_TIME"): "dfa7aa6c4368ecea5e3ec68c6967c8946e9200bf20494c2499c8ecb2c33b9177",
+    ("hot-skew", "LOOSE"): "c2f1734ee9862ffdbf668127751fdc4e96a7d03c5a1ab4eb7ea04d977ec709be",
+    ("hot-skew", "STANDARD"): "bcd84f8f5d2ed8cc7f1c75c21da5fa922e07e065b411e0c5da4cca911dac724c",
+    ("hot-skew", "STRESS"): "0a6bb53f0ea1a9dec18a8e1d8e2ee3ca5bba3052ceae11b7f09d2c3efa8abf7d",
+    ("hot-skew", "REAL_TIME"): "d9b6710303073de996dccf74f2975fa47575f0283a936b0ab6c4531ae121b4ab",
+    ("multi-tenant", "LOOSE"): "6d0e8469c29eb01e02bf206d1e72f9690972e7140e945579d65863443d82edb3",
+    ("multi-tenant", "STANDARD"): "6d0e8469c29eb01e02bf206d1e72f9690972e7140e945579d65863443d82edb3",
+    ("multi-tenant", "STRESS"): "6d0e8469c29eb01e02bf206d1e72f9690972e7140e945579d65863443d82edb3",
+    ("multi-tenant", "REAL_TIME"): "6d0e8469c29eb01e02bf206d1e72f9690972e7140e945579d65863443d82edb3",
+}
+
+
 class TestFleetWorkloads:
+    @pytest.mark.parametrize("condition", [c.name for c in Condition])
+    @pytest.mark.parametrize("kind", FLEET_WORKLOAD_KINDS)
+    def test_streams_match_pinned_digests(self, kind, condition):
+        digest = hashlib.sha256()
+        for n_apps in STREAM_SIZES:
+            workload = FleetWorkload(
+                kind=kind, condition=Condition[condition], n_apps=n_apps
+            )
+            for seed in STREAM_SEEDS:
+                for index in STREAM_INDICES:
+                    digest.update(repr(workload.arrivals(seed, index)).encode())
+        assert digest.hexdigest() == STREAM_DIGESTS[kind, condition]
+
     @pytest.mark.parametrize("kind", FLEET_WORKLOAD_KINDS)
     def test_streams_are_well_formed_and_deterministic(self, kind):
         workload = FleetWorkload(kind=kind, condition=Condition.STANDARD, n_apps=20)
@@ -376,6 +421,28 @@ class TestFleetCLI:
         assert len(records) == 3
         assert sum(r.n_apps for r in records) == 6
         assert all(r.seed == 2 for r in records)
+
+    def test_run_and_replay_need_only_the_standard_library(self, tmp_path):
+        """``python -m repro`` with numpy, scipy and networkx made
+        unimportable: a ``--jobs 2`` fleet run (whose forked workers
+        inherit the block) and its replay both succeed."""
+        script = (
+            "import runpy, sys\n"
+            "sys.modules.update(numpy=None, scipy=None, networkx=None)\n"
+            "runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        )
+        out = tmp_path / "fleet-smoke.jsonl"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        for argv in (
+            ["fleet", "run", "fleet-smoke", "--jobs", "2", "--out", str(out)],
+            ["replay", str(out)],
+        ):
+            result = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert result.returncode == 0, result.stderr
+        assert "fleet-smoke" in result.stdout
 
     def test_fleet_run_unknown_scenario_is_operator_error(self, capsys):
         assert main(["fleet", "run", "missing"]) == 2

@@ -10,7 +10,6 @@ from repro.schedulers import (
     FCFSScheduler,
     NimblockScheduler,
     RoundRobinScheduler,
-    allocate_slots_milp,
     optimal_big_slots,
     optimal_little_slots,
 )
@@ -204,27 +203,6 @@ class TestILP:
     def test_batch_size_validated(self):
         with pytest.raises(ValueError):
             optimal_little_slots(BENCHMARKS["IC"], 0, 100.0, 8)
-
-    def test_milp_respects_budget(self):
-        pytest.importorskip("scipy")
-        apps = [(BENCHMARKS["IC"], 10), (BENCHMARKS["3DR"], 10), (BENCHMARKS["OF"], 10)]
-        counts = allocate_slots_milp(apps, 8, DEFAULT_PARAMETERS.little_pr_ms)
-        assert sum(counts) <= 8
-        assert all(c >= 1 for c in counts)
-
-    def test_milp_more_slots_helps_when_available(self):
-        pytest.importorskip("scipy")
-        apps = [(BENCHMARKS["IC"], 20)]
-        counts = allocate_slots_milp(apps, 8, DEFAULT_PARAMETERS.little_pr_ms)
-        assert counts[0] >= 3
-
-    def test_milp_rejects_overload(self):
-        apps = [(BENCHMARKS["IC"], 10)] * 9
-        with pytest.raises(ValueError, match="queue"):
-            allocate_slots_milp(apps, 8, 100.0)
-
-    def test_milp_empty(self):
-        assert allocate_slots_milp([], 8, 100.0) == []
 
 
 class TestRuntimeInvariants:

@@ -600,6 +600,30 @@ class TestStoreCli:
         assert main(["replay", str(tmp_path / "absent.sqlite")]) == 2
         assert main(["store", "inspect", str(tmp_path / "nope.sqlite")]) == 2
 
+    @pytest.mark.parametrize(
+        "command", [["replay"], ["store", "inspect"], ["store", "verify"]]
+    )
+    def test_non_sqlite_file_is_operator_error(self, tmp_path, capsys,
+                                               command):
+        from repro.cli import main
+
+        path = tmp_path / "text.sqlite"
+        path.write_text('{"schema": "repro-results/1"}\n')
+        assert main([*command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "file is not a database" in err
+        assert str(path) in err
+
+    def test_fig8_out_honors_the_sqlite_suffix(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "fig8.sqlite"
+        assert main(["fig8", "--apps", "8", "--out", str(path)]) == 0
+        assert path.read_bytes().startswith(b"SQLite format 3\x00")
+        with open_store(path) as store:
+            assert store.counts() == {"record": 2}
+        assert main(["replay", str(path)]) == 0
+
 
 class TestEventNotificationKinds:
     def test_kind_constants_are_the_wire_values(self):

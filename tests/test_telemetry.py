@@ -21,8 +21,8 @@ import pytest
 
 try:
     import numpy as np
-except ImportError:  # the no-numpy CI job: only the digest-accuracy
-    np = None        # data generation below needs numpy
+except ImportError:  # numpy is a test-only reference: only the
+    np = None        # digest-accuracy data generation below needs it
 
 needs_numpy = pytest.mark.skipif(np is None, reason="numpy not installed")
 

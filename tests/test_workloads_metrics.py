@@ -151,17 +151,14 @@ class TestResponseStats:
 
 
 class TestNumpyFreeParity:
-    """The pure-python mean/percentile fallbacks must be bit-identical
-    to numpy's (the fig5 golden pins exact floats and the no-numpy CI
-    job runs the same golden).  Sizes straddle numpy's pairwise-sum
-    regimes: plain loop (<8), 8-way unrolled block (<=128), recursive
-    halving (>128)."""
+    """The pure-python mean/percentile must be bit-identical to numpy's
+    (the fig5 golden pins exact floats; numpy is only a test-time
+    reference).  Sizes straddle numpy's pairwise-sum regimes: plain loop
+    (<8), 8-way unrolled block (<=128), recursive halving (>128)."""
 
-    def test_fallback_matches_numpy_bit_exact(self, monkeypatch):
+    def test_fallback_matches_numpy_bit_exact(self):
         np = pytest.importorskip("numpy")
         import random as random_module
-
-        import repro.metrics.response as response
 
         rng = random_module.Random("metrics-parity")
         cases = []
@@ -173,7 +170,6 @@ class TestNumpyFreeParity:
                 for q in (0.0, 37.5, 95.0, 99.0, 100.0)
             }
             cases.append((values, expected_mean, expected_pcts))
-        monkeypatch.setattr(response, "np", None)
         for values, expected_mean, expected_pcts in cases:
             stats = ResponseStats(list(values))
             assert stats.mean() == expected_mean
