@@ -289,6 +289,14 @@ def _operator_error(exc: Exception) -> int:
     return 2
 
 
+def _check_sizes(args: argparse.Namespace) -> None:
+    """Reject ``--apps``, ``--sequences`` or ``--jobs`` below 1 up front."""
+    for option in ("apps", "sequences", "jobs"):
+        value = getattr(args, option, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{option} must be >= 1, got {value}")
+
+
 def _effective_snapshot_every(args: argparse.Namespace) -> int:
     """Resolve ``--snapshot-every`` (``--resume`` implies the default)."""
     if args.snapshot_every is not None:
@@ -687,6 +695,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    try:
+        _check_sizes(args)
+    except ValueError as exc:
+        return _operator_error(exc)
     if args.command == "list":
         for name, (cls, config) in SYSTEMS.items():
             print(f"{name:<14s} {cls.__name__:<22s} board={config.value}")

@@ -101,6 +101,10 @@ def allocate_big_little(
             sched.c_wait.remove(app)
             sched.s_little.append(app)
             l_left -= grant
+        elif b_avail <= 0:
+            # Neither kind can be granted, and ``b_avail`` / ``l_left``
+            # only fall: no later waiting app can be bound this pass.
+            break
 
     # Lines 14-18: redistribute leftover Little slots.
     if redistribution and l_left > 0:

@@ -46,11 +46,11 @@ def ready_task_queue(scheduler: OnBoardScheduler) -> List[Tuple[AppRun, Union[Ta
 
 def dispatch_order(scheduler: OnBoardScheduler) -> List[AppRun]:
     """Dispatch priority: Big-bound apps first, then arrival order."""
-    live = [app for app in scheduler.apps if not app.finished and not app.frozen]
+    live = scheduler.live_apps  # the live list itself: never mutated here
     if len(live) < 2:
         return live
-    # ``apps`` is appended in submission order, so ids are monotone on
-    # every on-board path (only fleet migrate-in can re-insert an older
+    # ``live_apps`` is appended in submission order, so ids are monotone
+    # on every on-board path (only live migration can re-insert an older
     # instance); a stable partition then equals the full sort at a
     # fraction of its cost — this runs on every scheduler pass.
     prev = -1

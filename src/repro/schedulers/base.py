@@ -134,8 +134,8 @@ class OnBoardScheduler:
     __slots__ = (
         "board", "engine", "params", "dual_core", "preemption",
         "preemption_quantum_ms", "tracer", "stats", "c_wait", "s_big",
-        "s_little", "apps", "intake_open", "_wake_pending", "_wake_event",
-        "_pr_inflight", "_inflight_app", "_last_preempt_ms",
+        "s_little", "apps", "live_apps", "intake_open", "_wake_pending",
+        "_wake_event", "_pr_inflight", "_inflight_app", "_last_preempt_ms",
         "candidate_listeners", "finish_listeners", "pr_queue", "_core",
         "_launch_overhead_ms", "_action_ms", "big_total", "little_total",
         "telemetry",
@@ -178,8 +178,13 @@ class OnBoardScheduler:
         self.c_wait: List[AppRun] = []
         self.s_big: List[AppRun] = []
         self.s_little: List[AppRun] = []
-        #: All live app runs, in arrival order (the runnable queue).
+        #: Every app run submitted here, finished ones included, in
+        #: arrival order; an app extracted for live migration leaves it.
         self.apps: List[AppRun] = []
+        #: The unfinished subset of ``apps``, in the same order: the
+        #: runnable queue every scheduler pass walks.  ``submit``,
+        #: ``_finish_app`` and ``extract_waiting_apps`` maintain it.
+        self.live_apps: List[AppRun] = []
         self.intake_open = True
         self._wake_pending = False
         self._wake_event: Optional[Event] = None
@@ -215,6 +220,7 @@ class OnBoardScheduler:
             raise RuntimeError(f"{self.board.name} intake is closed (migrating)")
         app_run = AppRun(self, inst)
         self.apps.append(app_run)
+        self.live_apps.append(app_run)
         self.c_wait.append(app_run)
         self.stats.arrivals += 1
         telemetry = self.telemetry
@@ -230,12 +236,12 @@ class OnBoardScheduler:
 
     def active_apps(self) -> List[AppRun]:
         """Applications submitted here and not yet finished or migrated."""
-        return [app for app in self.apps if not app.finished]
+        return list(self.live_apps)
 
     @property
     def is_drained(self) -> bool:
         """True when no submitted application remains unfinished."""
-        return not self.active_apps()
+        return not self.live_apps
 
     def close_intake(self) -> None:
         """Stop accepting new applications (cross-board switching)."""
@@ -253,13 +259,13 @@ class OnBoardScheduler:
         """
         movable = [
             app
-            for app in self.active_apps()
+            for app in self.live_apps
             if not app.started and not app.pending_pr and not app.loaded
         ]
         telemetry = self.telemetry
         for app in movable:
-            app.frozen = True
             self.apps.remove(app)
+            self.live_apps.remove(app)
             for queue in (self.c_wait, self.s_big, self.s_little):
                 if app in queue:
                     queue.remove(app)
@@ -433,25 +439,32 @@ class OnBoardScheduler:
     # Dispatch machinery
     # ------------------------------------------------------------------
     def dispatch_order(self) -> List[AppRun]:
-        """Apps considered for PR dispatch, oldest arrival first."""
-        apps = self.apps
-        if len(apps) == 1:  # single-tenant fast path (no filtering garbage)
-            app = apps[0]
-            return apps if not app.finished and not app.frozen else []
-        return [app for app in apps if not app.finished and not app.frozen]
+        """Apps considered for PR dispatch, oldest arrival first.
+
+        This is the live list itself, not a copy: callers iterate it and
+        must not mutate it.
+        """
+        return self.live_apps
 
     def plan_dispatch(self) -> List[PRPlan]:
         """Turn allocations into concrete PR plans against idle slots."""
         plans: List[PRPlan] = []
         for app in self.dispatch_order():
+            # An app without headroom plans nothing; a Little-bound one
+            # may still need a self-rotation, which needs a loaded run.
             if app.in_big:
-                plans.extend(self._plan_for_kind(app, SlotKind.BIG))
-            else:
-                plans.extend(self._plan_for_kind(app, SlotKind.LITTLE))
+                if app.used_big < app.alloc_big:
+                    self._plan_for_kind(app, SlotKind.BIG, plans)
+            elif app.used_little < app.alloc_little:
+                self._plan_for_kind(app, SlotKind.LITTLE, plans)
+            elif app.loaded:
+                self._rotate_for_reload(app)
         return plans
 
-    def _plan_for_kind(self, app: AppRun, kind: SlotKind) -> List[PRPlan]:
-        plans: List[PRPlan] = []
+    def _plan_for_kind(
+        self, app: AppRun, kind: SlotKind, plans: List[PRPlan]
+    ) -> None:
+        """Append ``app``'s plans for slots of ``kind`` to ``plans``."""
         while True:
             # Only the head of the eligibility order is ever dispatched,
             # so probe it directly instead of materializing the list.
@@ -470,7 +483,6 @@ class OnBoardScheduler:
             if slot is None:
                 break
             plans.append(self._make_plan(app, payload, slot))
-        return plans
 
     def _rotate_for_reload(self, app: AppRun) -> None:
         """Self-rotation: displace the highest stage for a missing lower one.
@@ -481,19 +493,17 @@ class OnBoardScheduler:
         run makes room; the dispatch guard then reloads the missing stage
         first.  Without this, the app livelocks until the board drains.
         """
-        loaded = app.loaded
-        if not loaded:
+        highest: Optional[TaskRun] = None
+        for run in app.loaded.values():
+            if isinstance(run, TaskRun):
+                if run.preempt_requested:
+                    return  # a rotation is already in flight
+                if highest is None or run.task.index > highest.task.index:
+                    highest = run
+        if highest is None:
             return
-        runs = [run for run in loaded.values() if isinstance(run, TaskRun)]
-        if not runs:
-            return
-        if any(run.preempt_requested for run in runs):
-            return  # a rotation is already in flight
         head = app.first_little_payload()
-        if head is None:
-            return
-        highest = max(runs, key=lambda run: run.task.index)
-        if highest.task.index > head.index:
+        if head is not None and highest.task.index > head.index:
             highest.request_preempt()
 
     def _make_plan(self, app: AppRun, payload: Payload, slot: Slot) -> PRPlan:
@@ -611,6 +621,7 @@ class OnBoardScheduler:
         app.finished = True
         now = self.engine.now
         app.finish_time = now
+        self.live_apps.remove(app)
         for queue in (self.c_wait, self.s_big, self.s_little):
             if app in queue:
                 queue.remove(app)
@@ -641,17 +652,15 @@ class OnBoardScheduler:
     def committed_little(self) -> int:
         """Little slots currently committed (loaded or reconfiguring)."""
         total = 0
-        for app in self.apps:
-            if not app.finished:
-                total += app.used_little
+        for app in self.live_apps:
+            total += app.used_little
         return total
 
     def committed_big(self) -> int:
         """Big slots currently committed (loaded or reconfiguring)."""
         total = 0
-        for app in self.apps:
-            if not app.finished:
-                total += app.used_big
+        for app in self.live_apps:
+            total += app.used_big
         return total
 
     def __repr__(self) -> str:

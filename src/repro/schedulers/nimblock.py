@@ -20,7 +20,7 @@ from .ilp import optimal_little_slots
 class NimblockScheduler(OnBoardScheduler):
     """ILP-optimal slot counts + leftover sharing + preemption, single-core."""
 
-    __slots__ = ()
+    __slots__ = ("_little_pr_ms",)
 
     name = "Nimblock"
 
@@ -39,28 +39,35 @@ class NimblockScheduler(OnBoardScheduler):
             preemption_quantum_ms=1200.0,
             tracer=tracer,
         )
+        self._little_pr_ms = self.params.little_pr_ms
 
     def optimal_for(self, app) -> int:
         """O_L of one application (memoised ILP result)."""
         return optimal_little_slots(
-            app.spec, app.batch, self.params.little_pr_ms, self.little_total
+            app.spec, app.batch, self._little_pr_ms, self.little_total
         )
 
     def allocate(self) -> None:
         order = self.dispatch_order()
         free = self.little_total
+        # Demand of each app that met free slots, in ``order``.  ``free``
+        # never grows, so when the sharing phase runs every app has one.
+        demands = []
         # Primary: optimal slot count per app, oldest arrival first.
         for app in order:
-            demand = app.used_little + app.little_payload_count()
-            target = min(self.optimal_for(app), demand)
-            grant = max(app.used_little, min(target, max(free, 0)))
+            used = app.used_little
+            if free > 0:
+                demand = used + app.little_payload_count()
+                demands.append(demand)
+                grant = max(used, min(self.optimal_for(app), demand, free))
+            else:
+                grant = used  # nothing left to grant: keep what it holds
             app.alloc_little = grant
             free -= grant
             self._update_queues(app)
         # Dynamic sharing: leftover slots go to apps that can use more.
         if free > 0:
-            for app in order:
-                demand = app.used_little + app.little_payload_count()
+            for app, demand in zip(order, demands):
                 extra = min(free, max(0, demand - app.alloc_little))
                 if extra:
                     app.alloc_little += extra

@@ -47,7 +47,7 @@ class RoundRobinScheduler(OnBoardScheduler):
 
     def maybe_preempt(self) -> None:
         """Quantum-expiry rotation: evict one run for the waiting apps."""
-        waiters = [app for app in self.active_apps() if app.alloc_little == 0]
+        waiters = [app for app in self.live_apps if app.alloc_little == 0]
         if not waiters:
             return
         if self.engine.now - self._last_rotate_ms < self.rotation_quantum_ms:

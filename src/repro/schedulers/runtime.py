@@ -46,8 +46,7 @@ class AppRun:
         "scheduler", "inst", "spec", "batch", "done_counts", "_item_events",
         "alloc_big", "alloc_little", "used_big", "used_little", "in_big",
         "started", "pending_pr", "loaded", "finished", "finish_time",
-        "frozen", "_unfinished_tasks", "_bundle_members_left",
-        "_unfinished_bundles",
+        "_unfinished_tasks", "_bundle_members_left", "_unfinished_bundles",
     )
 
     def __init__(self, scheduler: "OnBoardScheduler", inst: ApplicationInstance) -> None:
@@ -91,8 +90,6 @@ class AppRun:
         self.loaded: Dict[str, Union["TaskRun", "BundleRun"]] = {}
         self.finished = False
         self.finish_time: Optional[float] = None
-        #: Set by live migration: runs should not be extended on this board.
-        self.frozen = False
 
     # ------------------------------------------------------------------
     # Pipeline dependency plumbing

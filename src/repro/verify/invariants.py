@@ -10,8 +10,9 @@ goldens can only sample but a fuzzer can hammer:
   they have committed (``used_big`` / ``used_little``);
 * **incremental counters == recomputed counts** — the O(1) run-state
   maintained by ``schedulers.runtime`` (unfinished tasks/bundles, used
-  slots) and the utilization tracker's in-place accumulators must always
-  equal a from-scratch recomputation;
+  slots), the scheduler's live-app list and committed-slot totals, and
+  the utilization tracker's in-place accumulators must always equal a
+  from-scratch recomputation;
 * **no orphaned waiters** — when a run ends, no process is still parked on
   a pipeline item event, no PR plan sits in the queue, and the engine heap
   is empty;
@@ -147,6 +148,23 @@ def check_scheduler(scheduler: OnBoardScheduler) -> List[str]:
             problems.append(f"{app.inst.name}: finished but still queued")
         if membership > 1:
             problems.append(f"{app.inst.name}: present in {membership} queues")
+    # The incrementally kept live list and the totals read from it.
+    unfinished = [app for app in scheduler.apps if not app.finished]
+    if scheduler.live_apps != unfinished:
+        problems.append(
+            "live list out of sync: "
+            f"{[app.inst.name for app in scheduler.live_apps]} != unfinished "
+            f"apps {[app.inst.name for app in unfinished]}"
+        )
+    committed_big = scheduler.committed_big()
+    committed_little = scheduler.committed_little()
+    recount_big = sum(app.used_big for app in unfinished)
+    recount_little = sum(app.used_little for app in unfinished)
+    if (committed_big, committed_little) != (recount_big, recount_little):
+        problems.append(
+            f"committed (Big, Little) ({committed_big}, {committed_little}) "
+            f"!= recount over apps ({recount_big}, {recount_little})"
+        )
     # Slot occupancy conservation: what the fabric shows committed must
     # equal what the live apps believe they hold.
     board = scheduler.board
@@ -157,8 +175,6 @@ def check_scheduler(scheduler: OnBoardScheduler) -> List[str]:
                 busy_big += 1
             else:
                 busy_little += 1
-    committed_big = scheduler.committed_big()
-    committed_little = scheduler.committed_little()
     if busy_big != committed_big:
         problems.append(
             f"slot conservation: {busy_big} busy Big slots vs "

@@ -440,6 +440,26 @@ class TestCampaignCLI:
         assert main(["replay", str(out_path)]) == 0
         assert "Campaign records" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["fig5", "--apps", "0"],
+        ["fig5", "--sequences", "0"],
+        ["fig6", "--sequences", "0"],
+        ["fig8", "--apps", "0"],
+        ["fig5", "--jobs", "0"],
+        ["fig6", "--jobs", "-3"],
+        ["fig8", "--jobs", "0"],
+        ["campaign", "run", "smoke", "--jobs", "0"],
+        ["fleet", "run", "fleet-smoke", "--jobs", "-3"],
+    ])
+    def test_sizes_below_one_are_operator_errors(self, argv, tmp_path, capsys):
+        from repro.cli import main
+
+        out_path = tmp_path / "out.jsonl"
+        assert main([*argv, "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_list_systems(self, capsys):
         from repro.cli import main
 

@@ -239,6 +239,18 @@ class TestInvariantCheckers:
         problems = check_scheduler(refs["scheduler"])
         assert any("slot conservation" in p for p in problems)
 
+    def test_out_of_sync_live_list_is_flagged(self):
+        refs = _instrumented_scheduler()
+        scheduler = refs["scheduler"]
+        assert check_scheduler(scheduler) == []
+        # A finished app left in the live list, still claiming a slot.
+        stale = scheduler.apps[0]
+        scheduler.live_apps.append(stale)
+        stale.used_little += 1
+        problems = check_scheduler(scheduler)
+        assert any("live list out of sync" in p for p in problems)
+        assert any("!= recount over apps (0, 0)" in p for p in problems)
+
     def test_clock_regression_is_flagged(self):
         refs = _instrumented_scheduler()
         monitor = refs["monitor"]
