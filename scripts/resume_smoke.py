@@ -9,9 +9,11 @@ The CI gate behind the durable event store's core promise:
    SIGKILL the process partway (after at least one record has landed,
    before the last); its pool workers must exit with it;
 3. rerun with ``--resume``, again with ``--jobs 2``;
-4. assert the records, the rollup table, and the projection-backed
-   replay report are identical between the clean and the resumed store
-   (raw file bytes for the JSONL backend).
+4. assert the records, the rollup table, the projection-backed replay
+   report and every built-in projection's persisted state are identical
+   between the clean and the resumed store (raw file bytes for the JSONL
+   backend).  Projection watermarks are left out: a kill can leave the
+   two stores with different snapshot counts.
 
 The serial clean run against the pooled interrupted-and-resumed one also
 checks serial-vs-``--jobs`` identity under SIGKILL.
@@ -125,6 +127,17 @@ def replay_payload(path: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def projection_states(path: Path) -> dict:
+    """Each built-in projection's persisted state, without its watermark."""
+    from repro.store import default_projections, open_store
+
+    with open_store(path) as store:
+        return {
+            projection.name: store.get_projection(projection.name)[1]
+            for projection in default_projections()
+        }
+
+
 def rollup_table(stdout: str) -> str:
     """The rollup table block (everything before the first blank line)."""
     return stdout.split("\n\n", 1)[0]
@@ -214,7 +227,7 @@ def main() -> int:
     if "resume:" not in resume.stdout:
         fail(workdir, "resume accounting line", clean.stdout, resume.stdout)
 
-    print("[4/4] compare records / rollups / projection report")
+    print("[4/4] compare records / rollups / projection report + states")
     if args.backend == "jsonl":
         if clean_out.read_bytes() != resumed_out.read_bytes():
             fail(workdir, "results-file bytes",
@@ -232,6 +245,14 @@ def main() -> int:
     if rollup_table(clean.stdout) != rollup_table(resume.stdout):
         fail(workdir, "fleet rollup table",
              rollup_table(clean.stdout), rollup_table(resume.stdout))
+    clean_states = projection_states(clean_out)
+    resumed_states = projection_states(resumed_out)
+    if None in clean_states.values():
+        fail(workdir, "persisted projection set (a projection never saved)",
+             clean_states, resumed_states)
+    if clean_states != resumed_states:
+        fail(workdir, "persisted projection states",
+             clean_states, resumed_states)
     for store in (clean_out, resumed_out):
         run_cli(["store", "verify", str(store)])
 

@@ -37,7 +37,7 @@ from .campaign import (
     get_scenario,
     scenario_names,
 )
-from .store import DEFAULT_SNAPSHOT_EVERY
+from .store import DEFAULT_SNAPSHOT_EVERY, StoreFormatError
 from .experiments import (
     PAPER_SWITCH_OVERHEAD_MS,
     Fig5Result,
@@ -279,8 +279,8 @@ def _operator_error(exc: Exception) -> int:
     """Print a clean one-line message for a user-input error (exit 2).
 
     Reserved for lookup/load failures (unknown scenario, missing or
-    malformed records file) — simulation errors propagate with their
-    traceback so internal bugs stay debuggable.
+    malformed records file, malformed store content) — simulation errors
+    propagate with their traceback so internal bugs stay debuggable.
     """
     if isinstance(exc, FileNotFoundError):
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
@@ -369,7 +369,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         resume=args.resume,
         store_backend=args.store_backend,
     )
-    records = runner.run(scenario)
+    try:
+        records = runner.run(scenario)
+    except StoreFormatError as exc:
+        return _operator_error(exc)
     print(summarize_records(records))
     outcome = runner.last_outcome
     if outcome is not None and outcome.resumed:
@@ -429,16 +432,19 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _operator_error(exc)
     out = _default_out(scenario.name, args)
-    result = Fleet(scenario).run(
-        jobs=args.jobs,
-        store=out,
-        keep_raw_samples=args.raw_samples,
-        events_dir=args.events_dir,
-        timeout_s=getattr(args, "cell_timeout", None),
-        snapshot_every=snapshot_every,
-        resume=args.resume,
-        store_backend=args.store_backend,
-    )
+    try:
+        result = Fleet(scenario).run(
+            jobs=args.jobs,
+            store=out,
+            keep_raw_samples=args.raw_samples,
+            events_dir=args.events_dir,
+            timeout_s=getattr(args, "cell_timeout", None),
+            snapshot_every=snapshot_every,
+            resume=args.resume,
+            store_backend=args.store_backend,
+        )
+    except StoreFormatError as exc:
+        return _operator_error(exc)
     print(result.rollup.table())
     if result.resumed_cells:
         print(

@@ -24,6 +24,7 @@ from .notification import (
     NOTIFICATION_KINDS,
     Notification,
     NotificationLog,
+    StoreFormatError,
 )
 from .projections import (
     FigureProjection,
@@ -68,6 +69,7 @@ __all__ = [
     "RecordSummaryProjection",
     "SNAPSHOT_SCHEMA",
     "SqliteRecorder",
+    "StoreFormatError",
     "TelemetryCounterProjection",
     "as_campaign_store",
     "cell_key",

@@ -97,50 +97,37 @@ class CampaignStore:
 
     def latest_snapshot(self) -> Optional[CampaignSnapshot]:
         """The newest persisted snapshot (None when there is none)."""
-        newest: Optional[CampaignSnapshot] = None
-        for notification in self.recorder.select():
-            if notification.kind == KIND_SNAPSHOT:
-                newest = CampaignSnapshot.from_dict(notification.payload)
-        return newest
+        return _newest_snapshot(self.recorder.select())
 
     def completed_cells(self) -> Tuple[Dict[str, object], int]:
-        """Completed cell keys -> record payloads, plus the resume read size.
+        """Completed cell keys -> record payloads, plus the resume tail size.
 
-        The resume contract: start from the latest snapshot's completed
-        set, then fold only record notifications with ``id >
-        snapshot.covered_id`` — the second element counts how many
-        notifications that tail read actually touched, so tests can
-        assert resume never re-reads the snapshotted prefix.  Failure
-        records (``error`` non-empty) never count as completed: a resumed
-        run re-executes them.
+        The resume contract: one read of the log, split at the newest
+        snapshot's ``covered_id``.  Payloads for the snapshotted prefix
+        still come from the log (the snapshot carries keys, not full
+        records); the second element counts the notifications past the
+        snapshot watermark, so tests can assert how much of the log a
+        checkpoint left uncovered.  Failure records (``error``
+        non-empty) never count as completed: a resumed run re-executes
+        them.
         """
         from ..campaign.results import RunRecord  # lazy: avoids a cycle
         from .snapshot import cell_key
 
-        snapshot = self.latest_snapshot()
+        notifications = self.recorder.select()
+        snapshot = _newest_snapshot(notifications)
+        covered_id = snapshot.covered_id if snapshot is not None else 0
         completed: Dict[str, object] = {}
-        start = 1
-        if snapshot is not None:
-            start = snapshot.covered_id + 1
-            # Payloads for the snapshotted prefix still come from the log
-            # (the snapshot carries keys, not full records) — but the
-            # *tail* scan below is bounded by the snapshot watermark.
-            for notification in self.recorder.select(limit=None):
-                if notification.id > snapshot.covered_id:
-                    break
-                if notification.kind != KIND_RECORD:
-                    continue
-                record = RunRecord.from_dict(notification.payload)
-                if not record.failed:
-                    completed[cell_key(record)] = record
-        tail = self.recorder.select(start=start)
-        for notification in tail:
+        tail = 0
+        for notification in notifications:
+            if notification.id > covered_id:
+                tail += 1
             if notification.kind != KIND_RECORD:
                 continue
             record = RunRecord.from_dict(notification.payload)
             if not record.failed:
                 completed[cell_key(record)] = record
-        return completed, len(tail)
+        return completed, tail
 
     def get_projection(
         self, name: str
@@ -160,6 +147,16 @@ class CampaignStore:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _newest_snapshot(
+    notifications: List[Notification],
+) -> Optional[CampaignSnapshot]:
+    """Decode the newest snapshot notification (None when there is none)."""
+    for notification in reversed(notifications):
+        if notification.kind == KIND_SNAPSHOT:
+            return CampaignSnapshot.from_dict(notification.payload)
+    return None
 
 
 def open_store(

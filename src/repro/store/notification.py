@@ -26,6 +26,16 @@ KIND_SNAPSHOT = "snapshot"
 NOTIFICATION_KINDS = (KIND_RECORD, KIND_EVENT, KIND_SNAPSHOT)
 
 
+class StoreFormatError(ValueError):
+    """Persisted store content that does not decode.
+
+    Raised for a projection state or snapshot payload of the wrong shape
+    (a hand-edited or corrupted store), with a message naming the
+    projection or field.  The CLI reports it as an operator error
+    (exit 2) even where it lets simulation errors keep their traceback.
+    """
+
+
 @dataclass(frozen=True)
 class Notification:
     """One globally ordered entry of the notification log."""
@@ -79,4 +89,5 @@ __all__ = [
     "NOTIFICATION_KINDS",
     "Notification",
     "NotificationLog",
+    "StoreFormatError",
 ]

@@ -27,7 +27,13 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from ..telemetry.digest import ResponseDigest
-from .notification import KIND_EVENT, KIND_RECORD, KIND_SNAPSHOT, Notification
+from .notification import (
+    KIND_EVENT,
+    KIND_RECORD,
+    KIND_SNAPSHOT,
+    Notification,
+    StoreFormatError,
+)
 
 
 class Projection:
@@ -75,11 +81,21 @@ class Projection:
         self.watermark = notification.id
 
     def load(self, store) -> "Projection":
-        """Restore the persisted watermark + state (no-op if never saved)."""
+        """Restore the persisted watermark + state (no-op if never saved).
+
+        A persisted state of the wrong shape raises
+        :class:`StoreFormatError` naming this projection.
+        """
         watermark, state = store.get_projection(self.name)
         if state is not None:
+            try:
+                self.restore_state(state)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise StoreFormatError(
+                    f"projection {self.name!r}: persisted state does not "
+                    f"decode ({type(exc).__name__}: {exc})"
+                ) from exc
             self.watermark = watermark
-            self.restore_state(state)
         return self
 
     def save(self, store) -> None:
@@ -107,43 +123,71 @@ class Projection:
 
 
 def _new_pool() -> Dict[str, object]:
-    """Accumulator mirroring ``merged_response_summary`` fold-by-fold.
+    """Live accumulator mirroring ``merged_response_summary`` fold-by-fold.
 
-    ``raw`` concatenates raw samples while every folded record is
-    raw-carrying (or empty); the first digest-only record flips the group
-    onto the digest path permanently (``raw`` becomes None), exactly the
-    branch the batch helper takes over a full record list.  ``digest``
-    accumulates in record order on both paths so the digest-path result
-    is bit-identical to a batch merge.
+    ``raw`` extends in place with raw samples while every folded record
+    is raw-carrying (or empty); the first digest-only record flips the
+    group onto the digest path permanently (``raw`` becomes None),
+    exactly the branch the batch helper takes over a full record list.
+    ``digest`` is a live :class:`ResponseDigest` that accumulates in
+    record order on both paths, so the digest-path result is
+    bit-identical to a batch merge.  A fold costs O(the record's
+    samples or buckets); only :func:`_group_state` serializes a pool.
     """
-    return {"raw": [], "digest": ResponseDigest().to_dict()}
+    return {"raw": [], "digest": ResponseDigest()}
 
 
 def _pool_fold(pool: Dict[str, object], record) -> None:
-    digest = ResponseDigest.from_dict(pool["digest"])  # type: ignore[arg-type]
+    digest: ResponseDigest = pool["digest"]  # type: ignore[assignment]
     if record.response_times_ms:
         digest.extend(record.response_times_ms)
     else:
         own = record.digest()
         if own is not None:
             digest.merge(own)
-    pool["digest"] = digest.to_dict()
-    if pool["raw"] is not None:
+    raw = pool["raw"]
+    if raw is not None:
         if record.response_digest and not record.response_times_ms:
             pool["raw"] = None  # digest-only record: exact pooling is off
         else:
-            pool["raw"] = list(pool["raw"]) + list(record.response_times_ms)
+            raw.extend(record.response_times_ms)  # type: ignore[attr-defined]
 
 
 def _pool_stats(pool: Dict[str, object]):
-    """The pooled summary object (exact stats or merged digest)."""
+    """The pooled summary object (exact stats or the live digest)."""
     if pool["raw"] is not None:
         from ..metrics.response import ResponseStats  # lazy: avoids a cycle
 
         stats = ResponseStats()
         stats.extend(pool["raw"])  # type: ignore[arg-type]
         return stats
-    return ResponseDigest.from_dict(pool["digest"])  # type: ignore[arg-type]
+    return pool["digest"]
+
+
+def _group_state(group: Dict[str, object]) -> Dict[str, object]:
+    """One group's persisted form: its pool as ``{"raw", "digest"}``."""
+    pool = group["pool"]
+    raw = pool["raw"]  # type: ignore[index]
+    return {
+        **group,
+        "pool": {
+            "raw": None if raw is None else list(raw),
+            "digest": pool["digest"].to_dict(),  # type: ignore[index]
+        },
+    }
+
+
+def _restore_group(state: Dict[str, object]) -> Dict[str, object]:
+    """Inverse of :func:`_group_state`: rebuild the live pool."""
+    pool = state["pool"]
+    raw = pool["raw"]  # type: ignore[index]
+    return {
+        **state,
+        "pool": {
+            "raw": None if raw is None else list(raw),
+            "digest": ResponseDigest.from_dict(pool["digest"]),  # type: ignore[index]
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +207,18 @@ class RecordSummaryProjection(Projection):
 
     def state_dict(self) -> Dict[str, object]:
         return {
-            "groups": self._groups,
-            "scenarios": self._scenarios,
+            "groups": {
+                key: _group_state(group) for key, group in self._groups.items()
+            },
+            "scenarios": list(self._scenarios),
             "failed": self._failed,
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        self._groups = dict(state["groups"])  # type: ignore[arg-type]
+        self._groups = {
+            key: _restore_group(group)
+            for key, group in dict(state["groups"]).items()  # type: ignore[arg-type]
+        }
         self._scenarios = list(state["scenarios"])  # type: ignore[arg-type]
         self._failed = int(state["failed"])  # type: ignore[arg-type]
 
@@ -271,11 +320,19 @@ class FleetRollupProjection(Projection):
         }
 
     def state_dict(self) -> Dict[str, object]:
-        return {"shards": self._shards, "overall": self._overall}
+        return {
+            "shards": {
+                key: _group_state(group) for key, group in self._shards.items()
+            },
+            "overall": _group_state(self._overall),
+        }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        self._shards = dict(state["shards"])  # type: ignore[arg-type]
-        self._overall = dict(state["overall"])  # type: ignore[arg-type]
+        self._shards = {
+            key: _restore_group(group)
+            for key, group in dict(state["shards"]).items()  # type: ignore[arg-type]
+        }
+        self._overall = _restore_group(state["overall"])  # type: ignore[arg-type]
 
     @staticmethod
     def _fold_group(group: Dict[str, object], record) -> None:
@@ -612,16 +669,22 @@ def _fold_new(projections: List[Projection], store, save: bool) -> List[int]:
     return counts
 
 
-def update_projections(store, projections: Optional[List[Projection]] = None) -> Dict[str, int]:
-    """Catch every (given or built-in) projection up to the log head.
+def update_projections(
+    store, projections: Optional[List[Projection]] = None
+) -> Dict[str, int]:
+    """Catch projections up to the log head and save the advanced ones.
 
-    Each projection restores its persisted watermark, folds only the
-    newer notifications, and saves.  Returns ``{name: folded}``.
+    Given ``projections`` fold as they are, from their in-memory
+    watermarks: a durable campaign loads the built-ins once and passes
+    the same objects after every chunk.  With None, the built-in
+    projections restore their persisted state first.  Each folds only
+    the notifications newer than its watermark.  Returns
+    ``{name: folded}``.
     """
     if projections is None:
-        projections = default_projections()
-    for projection in projections:
-        projection.load(store)
+        projections = [
+            projection.load(store) for projection in default_projections()
+        ]
     counts = _fold_new(projections, store, save=True)
     return {projection.name: count for projection, count in zip(projections, counts)}
 

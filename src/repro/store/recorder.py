@@ -33,6 +33,7 @@ from .notification import (
     KIND_RECORD,
     NOTIFICATION_KINDS,
     Notification,
+    StoreFormatError,
 )
 
 #: File suffixes recognized as SQLite stores without sniffing content.
@@ -219,7 +220,14 @@ class SqliteRecorder(EventRecorder):
         ).fetchone()
         if row is None:
             return 0, None
-        return int(row[0]), json.loads(row[1])
+        try:
+            state = json.loads(row[1])
+        except ValueError as exc:
+            raise StoreFormatError(
+                f"projection {name!r}: persisted state is not valid JSON "
+                f"({exc})"
+            ) from exc
+        return int(row[0]), state
 
     def set_projection(
         self, name: str, watermark: int, state: Dict[str, object]
@@ -412,7 +420,13 @@ class JsonlRecorder(EventRecorder):
         if not self._proj_path.exists():
             return {}
         with self._proj_path.open("r", encoding="utf-8") as handle:
-            return json.load(handle).get("projections", {})
+            try:
+                return json.load(handle).get("projections", {})
+            except (AttributeError, ValueError) as exc:
+                raise StoreFormatError(
+                    f"{self._proj_path}: projection sidecar does not decode "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
 
     def get_projection(
         self, name: str
@@ -420,7 +434,13 @@ class JsonlRecorder(EventRecorder):
         entry = self._load_projections().get(name)
         if entry is None:
             return 0, None
-        return int(entry["watermark"]), dict(entry["state"])  # type: ignore[arg-type]
+        try:
+            return int(entry["watermark"]), dict(entry["state"])  # type: ignore[arg-type]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StoreFormatError(
+                f"projection {name!r}: malformed entry in "
+                f"{self._proj_path} ({type(exc).__name__}: {exc})"
+            ) from exc
 
     def set_projection(
         self, name: str, watermark: int, state: Dict[str, object]

@@ -60,7 +60,6 @@ def execute_with_store(
     store=None,
     snapshot_every: int = 0,
     resume: bool = False,
-    refresh_projections: bool = True,
 ) -> ExecutionOutcome:
     """Run ``cells`` through ``backend`` with durable, resumable persistence.
 
@@ -95,6 +94,17 @@ def execute_with_store(
         return ExecutionOutcome(
             records=records, resumed=0, executed=len(cells), snapshots=0
         )
+
+    # The built-in projections restore their persisted state once, up
+    # front (a malformed store fails before any cell runs), and the same
+    # objects then fold each chunk's notifications.  Imported at call
+    # time so a wrapper installed on ``update_projections`` (the perfbench
+    # tracer's ``store.projection`` span) sees every fold.
+    from .projections import default_projections, update_projections
+
+    projections = [
+        projection.load(campaign_store) for projection in default_projections()
+    ]
 
     keys = [cell_key(cell) for cell in cells]
     completed: Dict[str, object] = {}
@@ -152,15 +162,10 @@ def execute_with_store(
                     )
                 )
                 snapshots += 1
-            if refresh_projections:
-                from .projections import update_projections
+            update_projections(campaign_store, projections)
 
-                update_projections(campaign_store)
-
-    if not pending and refresh_projections:
-        from .projections import update_projections
-
-        update_projections(campaign_store)
+    if not pending:
+        update_projections(campaign_store, projections)
 
     return ExecutionOutcome(
         records=[results[i] for i in range(len(cells))],

@@ -13,7 +13,9 @@ cells are deterministic and independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
+
+from .notification import StoreFormatError
 
 #: Bumped whenever the snapshot payload shape changes incompatibly.
 SNAPSHOT_SCHEMA = 1
@@ -85,17 +87,50 @@ class CampaignSnapshot:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "CampaignSnapshot":
+        """Decode a persisted payload, checking every field's type.
+
+        A payload of the wrong shape raises :class:`StoreFormatError`
+        naming the bad field.
+        """
+        if not isinstance(payload, dict):
+            raise StoreFormatError(
+                f"snapshot payload must be an object, got "
+                f"{type(payload).__name__}"
+            )
         schema = payload.get("schema", SNAPSHOT_SCHEMA)
         if schema != SNAPSHOT_SCHEMA:
-            raise ValueError(
+            raise StoreFormatError(
                 f"snapshot schema {schema} not supported "
                 f"(expected {SNAPSHOT_SCHEMA})"
             )
+        completed = payload.get("completed", [])
+        digest = payload.get("digest", {})
+        cells = payload.get("cells", [])
+        covered_id = payload.get("covered_id", 0)
+        for name, ok, expected in (
+            ("completed",
+             isinstance(completed, list)
+             and all(isinstance(key, str) for key in completed),
+             "a list of cell keys"),
+            ("digest", isinstance(digest, dict), "an object"),
+            ("cells",
+             isinstance(cells, list)
+             and all(isinstance(spec, dict) for spec in cells),
+             "a list of cell specs"),
+            ("covered_id",
+             isinstance(covered_id, int) and not isinstance(covered_id, bool),
+             "an integer"),
+        ):
+            if not ok:
+                raise StoreFormatError(
+                    f"snapshot field {name!r} must be {expected}, got "
+                    f"{payload[name]!r:.60}"
+                )
         return cls(
-            completed=tuple(payload.get("completed", ())),  # type: ignore[arg-type]
-            digest=dict(payload.get("digest", {})),  # type: ignore[arg-type]
-            cells=tuple(payload.get("cells", ())),  # type: ignore[arg-type]
-            covered_id=int(payload.get("covered_id", 0)),  # type: ignore[arg-type]
+            completed=tuple(completed),  # type: ignore[arg-type]
+            digest=dict(digest),  # type: ignore[arg-type]
+            cells=tuple(cells),  # type: ignore[arg-type]
+            covered_id=covered_id,  # type: ignore[arg-type]
         )
 
 

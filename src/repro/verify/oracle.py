@@ -436,24 +436,22 @@ def check_store(store_or_path) -> List[str]:
             expected = notification.id
         expected += 1
 
-    completed_by_id: dict = {}
-    seen_keys: set = set()
+    # One pass: the first successful record id per cell key.  A snapshot
+    # key is backed when that record precedes the snapshot in the log and
+    # its id is within the snapshot's watermark.
+    first_id: dict = {}
     for notification in notifications:
         if notification.kind == KIND_RECORD:
             record = RunRecord.from_dict(notification.payload)
             if not record.failed:
-                seen_keys.add(cell_key(record))
-            completed_by_id[notification.id] = set(seen_keys)
+                first_id.setdefault(cell_key(record), notification.id)
         elif notification.kind == KIND_SNAPSHOT:
             snapshot = CampaignSnapshot.from_dict(notification.payload)
-            covered = completed_by_id.get(
-                max(
-                    (i for i in completed_by_id if i <= snapshot.covered_id),
-                    default=0,
-                ),
-                set(),
-            )
-            missing = [k for k in snapshot.completed if k not in covered]
+            missing = [
+                key
+                for key in snapshot.completed
+                if key not in first_id or first_id[key] > snapshot.covered_id
+            ]
             if missing:
                 findings.append(
                     f"snapshot (notification {notification.id}) claims "

@@ -17,6 +17,7 @@ The store contract under test, end to end:
 """
 
 import json
+import sqlite3
 
 import pytest
 
@@ -623,6 +624,163 @@ class TestStoreCli:
         with open_store(path) as store:
             assert store.counts() == {"record": 2}
         assert main(["replay", str(path)]) == 0
+
+
+def _edit_sqlite(path, edit):
+    conn = sqlite3.connect(path)
+    with conn:
+        edit(conn)
+    conn.close()
+
+
+def _corrupt_summary_shape(path):
+    _edit_sqlite(path, lambda conn: conn.execute(
+        "UPDATE projections SET state = ? WHERE name = 'summary'",
+        (json.dumps({"groups": 5}),),
+    ))
+
+
+def _corrupt_rollup_without_overall(path):
+    def edit(conn):
+        (state,) = conn.execute(
+            "SELECT state FROM projections WHERE name = 'fleet-rollup'"
+        ).fetchone()
+        state = json.loads(state)
+        del state["overall"]
+        conn.execute(
+            "UPDATE projections SET state = ? WHERE name = 'fleet-rollup'",
+            (json.dumps(state),),
+        )
+
+    _edit_sqlite(path, edit)
+
+
+def _corrupt_snapshot_shape(path):
+    def edit(conn):
+        nid, payload = conn.execute(
+            "SELECT id, payload FROM notifications WHERE kind = 'snapshot' "
+            "ORDER BY id DESC LIMIT 1"
+        ).fetchone()
+        payload = json.loads(payload)
+        payload["completed"] = 5
+        conn.execute(
+            "UPDATE notifications SET payload = ? WHERE id = ?",
+            (json.dumps(payload), nid),
+        )
+
+    _edit_sqlite(path, edit)
+
+
+def _corrupt_summary_json(path):
+    _edit_sqlite(path, lambda conn: conn.execute(
+        "UPDATE projections SET state = 'not json' WHERE name = 'summary'"
+    ))
+
+
+def _corrupt_sidecar_json(path):
+    path.with_name(path.name + ".proj.json").write_text("not json")
+
+
+def _corrupt_sidecar_entry(path):
+    sidecar = path.with_name(path.name + ".proj.json")
+    payload = json.loads(sidecar.read_text())
+    payload["projections"]["summary"] = 5
+    sidecar.write_text(json.dumps(payload))
+
+
+_COMMANDS = {
+    "store-verify": ("store", "verify"),
+    "verify-store": ("verify", "--store"),
+    "store-inspect": ("store", "inspect"),
+    "fleet-resume": ("fleet", "run", "fleet-smoke", "--snapshot-every", "1",
+                     "--resume", "--out"),
+}
+
+_MALFORMED = [
+    pytest.param(backend, corrupt, named, command, id=f"{tag}-{command}")
+    for tag, backend, corrupt, named, commands in (
+        ("summary-shape", "sqlite", _corrupt_summary_shape, "'summary'",
+         ("store-verify", "verify-store", "fleet-resume")),
+        ("rollup-without-overall", "sqlite", _corrupt_rollup_without_overall,
+         "'fleet-rollup'", ("store-verify", "verify-store", "fleet-resume")),
+        ("snapshot-shape", "sqlite", _corrupt_snapshot_shape, "'completed'",
+         ("store-verify", "verify-store", "store-inspect", "fleet-resume")),
+        ("summary-not-json", "sqlite", _corrupt_summary_json, "'summary'",
+         ("fleet-resume",)),
+        ("sidecar-not-json", "jsonl", _corrupt_sidecar_json, ".proj.json",
+         ("fleet-resume",)),
+        ("sidecar-entry-shape", "jsonl", _corrupt_sidecar_entry, "'summary'",
+         ("store-verify", "fleet-resume")),
+    )
+    for command in commands
+]
+
+
+class TestMalformedStore:
+    """Hand-edited store content is an operator error, never a traceback."""
+
+    @pytest.mark.parametrize("backend, corrupt, named, command", _MALFORMED)
+    def test_exits_2_naming_the_bad_part(
+        self, tmp_path, capsys, backend, corrupt, named, command
+    ):
+        from repro.cli import main
+
+        path = tmp_path / f"fleet.{_suffix(backend)}"
+        with open_store(path, backend=backend) as store:
+            Fleet(get_fleet_scenario("fleet-smoke")).run(
+                store=store, snapshot_every=1
+            )
+        corrupt(path)
+        capsys.readouterr()
+        assert main([*_COMMANDS[command], str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and named in err
+
+
+class TestStoreAudit:
+    """``check_store``'s snapshot check: one pass, same findings."""
+
+    @pytest.mark.parametrize("late_record_before_snapshot", (True, False))
+    def test_snapshot_key_recorded_past_its_watermark_is_flagged(
+        self, tmp_path, campaign_records, late_record_before_snapshot
+    ):
+        from repro.verify.oracle import check_store
+
+        _, records = campaign_records
+        early, late = records[0], records[1]
+        with open_store(tmp_path / "late.sqlite") as store:
+            store.append_records([early])
+            if late_record_before_snapshot:
+                store.append_records([late])
+            store.record_snapshot(CampaignSnapshot(
+                completed=(cell_key(early), cell_key(late)), covered_id=1,
+            ))
+            if not late_record_before_snapshot:
+                store.append_records([late])
+            update_projections(store)
+            findings = check_store(store)
+        snapshot_id = 3 if late_record_before_snapshot else 2
+        assert findings == [
+            f"snapshot (notification {snapshot_id}) claims 1 completed "
+            f"cell(s) with no backing record at or before id 1: "
+            f"{cell_key(late)}"
+        ]
+
+    def test_snapshot_backed_within_its_watermark_is_clean(
+        self, tmp_path, campaign_records
+    ):
+        from repro.verify.oracle import check_store
+
+        _, records = campaign_records
+        with open_store(tmp_path / "backed.sqlite") as store:
+            store.append_records(records)
+            store.record_snapshot(CampaignSnapshot(
+                completed=tuple(cell_key(r) for r in records),
+                covered_id=len(records),
+            ))
+            update_projections(store)
+            assert check_store(store) == []
 
 
 class TestEventNotificationKinds:
