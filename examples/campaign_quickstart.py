@@ -49,7 +49,8 @@ def main() -> None:
     records = runner.run(scenario)
 
     # 3. Aggregate from the persisted records — no re-simulation.
-    print(summarize_records(load_records(out)))
+    persisted, _ = load_records(out)
+    print(summarize_records(persisted))
     print(f"\n{len(records)} records persisted to {out}")
 
 

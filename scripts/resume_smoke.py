@@ -4,16 +4,17 @@ be byte-identical to an uninterrupted one.
 
 The CI gate behind the durable event store's core promise:
 
-1. run a fleet campaign cleanly and serially into one store;
+1. run a fleet campaign cleanly and serially into one SQLite store;
 2. run the same campaign with ``--jobs 2`` into a second store and
    SIGKILL the process partway (after at least one record has landed,
    before the last); its pool workers must exit with it;
 3. rerun with ``--resume``, again with ``--jobs 2``;
 4. assert the records, the rollup table, the projection-backed replay
    report and every built-in projection's persisted state are identical
-   between the clean and the resumed store (raw file bytes for the JSONL
-   backend).  Projection watermarks are left out: a kill can leave the
-   two stores with different snapshot counts.
+   between the clean and the resumed store, and that both stores
+   ``store export`` to byte-identical JSONL results files.  Projection
+   watermarks are left out: a kill can leave the two stores with
+   different snapshot counts.
 
 The serial clean run against the pooled interrupted-and-resumed one also
 checks serial-vs-``--jobs`` identity under SIGKILL.
@@ -46,24 +47,18 @@ def run_cli(args, check=True):
     return proc
 
 
-def record_count(path: Path, backend: str) -> int:
+def record_count(path: Path) -> int:
     """Persisted record count, read without touching the store's writer."""
     if not path.exists():
         return 0
-    if backend == "sqlite":
-        try:
-            with sqlite3.connect(f"file:{path}?mode=ro", uri=True) as conn:
-                row = conn.execute(
-                    "SELECT COUNT(*) FROM notifications WHERE kind = 'record'"
-                ).fetchone()
-                return int(row[0])
-        except sqlite3.Error:
-            return 0
     try:
-        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    except OSError:
+        with sqlite3.connect(f"file:{path}?mode=ro", uri=True) as conn:
+            row = conn.execute(
+                "SELECT COUNT(*) FROM notifications WHERE kind = 'record'"
+            ).fetchone()
+            return int(row[0])
+    except sqlite3.Error:
         return 0
-    return max(0, len(lines) - 1)  # minus the schema header line
 
 
 def child_pids(pid: int) -> list:
@@ -96,7 +91,7 @@ def still_running(pids, grace_s: float = 5.0) -> list:
     return [pid for pid in pids if running(pid)]
 
 
-def interrupted_run(cmd, out: Path, backend: str, timeout_s: float = 180.0):
+def interrupted_run(cmd, out: Path, timeout_s: float = 180.0):
     """Launch the campaign and SIGKILL it once >= 1 record has landed.
 
     Returns ``(interrupted, workers)``: whether the kill landed while the
@@ -110,7 +105,7 @@ def interrupted_run(cmd, out: Path, backend: str, timeout_s: float = 180.0):
     while time.monotonic() < deadline:
         if proc.poll() is not None:
             return False, []  # finished before we could interrupt it
-        if record_count(out, backend) >= 1:
+        if record_count(out) >= 1:
             workers = child_pids(proc.pid)
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=60)
@@ -153,8 +148,6 @@ def fail(workdir: Path, what: str, clean, resumed) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", choices=("jsonl", "sqlite"),
-                        default="jsonl")
     parser.add_argument("--scenario", default="fleet-smoke")
     parser.add_argument("--apps", type=int, default=120,
                         help="arrival-stream size (bigger = wider kill window)")
@@ -163,9 +156,8 @@ def main() -> int:
 
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    suffix = "sqlite" if args.backend == "sqlite" else "jsonl"
-    clean_out = workdir / f"clean.{suffix}"
-    resumed_out = workdir / f"resumed.{suffix}"
+    clean_out = workdir / "clean.sqlite"
+    resumed_out = workdir / "resumed.sqlite"
     for stale in workdir.glob("*"):
         if stale.is_file():
             stale.unlink()
@@ -175,7 +167,6 @@ def main() -> int:
     base = [
         sys.executable, "-m", "repro", "fleet", "run", args.scenario,
         "--shards", "6", "--apps", str(args.apps), "--snapshot-every", "1",
-        "--store-backend", args.backend,
     ]
 
     print(f"[1/4] clean run -> {clean_out}")
@@ -192,10 +183,10 @@ def main() -> int:
           f"{resumed_out}")
     interrupted, workers = interrupted_run(
         base + ["--jobs", "2", "--out", str(resumed_out)],
-        resumed_out, args.backend,
+        resumed_out,
     )
-    partial = record_count(resumed_out, args.backend)
-    total = record_count(clean_out, args.backend)
+    partial = record_count(resumed_out)
+    total = record_count(clean_out)
     print(f"      killed with {partial}/{total} record(s) persisted "
           f"(interrupted={interrupted}, pool workers={len(workers)})")
     if not interrupted or partial >= total:
@@ -227,11 +218,15 @@ def main() -> int:
     if "resume:" not in resume.stdout:
         fail(workdir, "resume accounting line", clean.stdout, resume.stdout)
 
-    print("[4/4] compare records / rollups / projection report + states")
-    if args.backend == "jsonl":
-        if clean_out.read_bytes() != resumed_out.read_bytes():
-            fail(workdir, "results-file bytes",
-                 clean_out.read_text(), resumed_out.read_text())
+    print("[4/4] compare exported bytes / rollups / projection report + "
+          "states")
+    clean_export = clean_out.with_suffix(".jsonl")
+    resumed_export = resumed_out.with_suffix(".jsonl")
+    run_cli(["store", "export", str(clean_out), str(clean_export)])
+    run_cli(["store", "export", str(resumed_out), str(resumed_export)])
+    if clean_export.read_bytes() != resumed_export.read_bytes():
+        fail(workdir, "exported results-file bytes",
+             clean_export.read_text(), resumed_export.read_text())
     clean_replay = replay_payload(clean_out)
     resumed_replay = replay_payload(resumed_out)
     for payload in (clean_replay, resumed_replay):
@@ -256,8 +251,8 @@ def main() -> int:
     for store in (clean_out, resumed_out):
         run_cli(["store", "verify", str(store)])
 
-    print(f"resume smoke OK ({args.backend}): interrupted at "
-          f"{partial}/{total} records, resumed run byte-identical")
+    print(f"resume smoke OK: interrupted at {partial}/{total} records, "
+          "resumed run byte-identical")
     return 0
 
 

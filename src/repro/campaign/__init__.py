@@ -15,9 +15,9 @@ and the benches) is layered on top of this package:
 
 Durable persistence beyond the plain JSONL file — snapshots, resumable
 campaigns, the SQLite recorder, incremental report projections — lives
-in :mod:`repro.store`; the runner and :func:`load_records` route through
-it when those features are requested (or a SQLite path is given), and
-stay byte-identical to the legacy path otherwise.
+in :mod:`repro.store`; the runner and :func:`load_records` route a
+SQLite path through it.  Any other path stays a plain JSONL results
+file, and snapshots or resume on one are refused.
 """
 
 from .backend import (

@@ -553,6 +553,8 @@ class ProcessBackend:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.timeout_s is not None and not self.timeout_s > 0:
+            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 

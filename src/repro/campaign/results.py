@@ -16,7 +16,7 @@ import os
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..config import SystemParameters
 from ..telemetry.digest import ResponseDigest
@@ -315,18 +315,24 @@ class ResultsStore:
         return records
 
 
-def load_records(path: Union[str, Path]) -> List[RunRecord]:
-    """Convenience loader used by the CLI ``replay`` command.
+def load_records(path: Union[str, Path]) -> Tuple[List[RunRecord], int]:
+    """The replay loader: a file's records plus its skipped-line count.
 
-    Accepts both on-disk formats: plain results JSONL and the SQLite
-    event store (sniffed by suffix or file magic).
+    Accepts both on-disk formats: the SQLite event store (sniffed by
+    suffix or file magic *before* any text-mode read, since it is binary)
+    and a plain results JSONL file, whose truncated trailing line is
+    counted rather than hidden behind a warning.  A missing store is a
+    :class:`FileNotFoundError`, never a newly created empty one.
     """
     from ..store import is_sqlite_path, open_store  # lazy: avoids a cycle
 
     if is_sqlite_path(path):
-        with open_store(path, backend="sqlite") as store:
-            return store.load()
-    return ResultsStore(path).load()
+        if not Path(path).exists():
+            raise FileNotFoundError(2, "No such file or directory", str(path))
+        with open_store(path) as store:
+            return store.load(), 0
+    store = ResultsStore(path)
+    return store.load(), store.skipped_lines
 
 
 def merged_response_summary(records: Iterable[RunRecord]):

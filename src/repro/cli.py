@@ -34,10 +34,12 @@ from .bench import add_bench_arguments, run_bench_command
 from .campaign import (
     CampaignRunner,
     ResultsStore,
+    RunRecord,
     get_scenario,
+    load_records,
     scenario_names,
 )
-from .store import DEFAULT_SNAPSHOT_EVERY, StoreFormatError
+from .store import DEFAULT_SNAPSHOT_EVERY, StoreFormatError, resolve_store
 from .experiments import (
     PAPER_SWITCH_OVERHEAD_MS,
     Fig5Result,
@@ -73,35 +75,32 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for the campaign backend (default: 1, serial)",
         )
         p.add_argument(
-            "--cell-timeout", type=float, default=None, metavar="S",
-            help="with --jobs N: wall-clock bound per campaign cell in "
-                 "seconds; a hung worker is killed, the cell retried once "
-                 "in isolation, and a persistent failure is surfaced as a "
-                 "failure record instead of hanging the campaign",
-        )
-        p.add_argument(
             "--out", type=str, default=None, metavar="PATH",
-            help="append per-run records to PATH: JSONL, or a SQLite store "
-                 "for a .sqlite/.db path (replayable via `replay`)",
+            help="append per-run records to PATH: a SQLite store for a "
+                 ".sqlite/.db path, else a plain JSONL results file "
+                 "(replayable via `replay`)",
         )
 
-    def add_durability_options(p: argparse.ArgumentParser) -> None:
+    def add_campaign_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--cell-timeout", type=float, default=None, metavar="S",
+            help="with --jobs N: wall-clock bound per campaign cell in "
+                 "seconds (> 0); a hung worker is killed, the cell retried "
+                 "once in isolation, and a persistent failure is surfaced "
+                 "as a failure record instead of hanging the campaign",
+        )
         p.add_argument(
             "--resume", action="store_true",
             help="skip cells the store already holds a successful record "
                  "for (continue an interrupted run; the resumed results are "
-                 "bit-identical to an uninterrupted run)",
+                 "bit-identical to an uninterrupted run); needs a SQLite "
+                 "--out, default results/<name>.sqlite",
         )
         p.add_argument(
             "--snapshot-every", type=int, default=None, metavar="N",
-            help="checkpoint a resumable campaign snapshot into the store "
-                 "every N completed cells (default: off; --resume implies "
-                 f"{DEFAULT_SNAPSHOT_EVERY})",
-        )
-        p.add_argument(
-            "--store-backend", choices=("jsonl", "sqlite"), default=None,
-            help="durable store format for --out (default: jsonl; paths "
-                 "ending in .sqlite/.db auto-select sqlite)",
+            help="checkpoint a resumable campaign snapshot into the SQLite "
+                 "store every N completed cells (default: off; --resume "
+                 f"implies {DEFAULT_SNAPSHOT_EVERY})",
         )
 
     fig5 = sub.add_parser("fig5", help="relative response-time reduction")
@@ -142,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write each cell's typed telemetry event stream as "
                           "a replayable JSONL log under DIR")
     add_parallel_options(run)
-    add_durability_options(run)
+    add_campaign_options(run)
     campaign_replay = campaign_sub.add_parser(
         "replay",
         help="replay persisted results or a fuzzer repro file",
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write admission + per-shard telemetry event "
                                 "logs under DIR")
     add_parallel_options(fleet_run)
-    add_durability_options(fleet_run)
+    add_campaign_options(fleet_run)
 
     store = sub.add_parser(
         "store",
@@ -195,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_inspect = store_sub.add_parser(
         "inspect", help="summarize a store's notification log and snapshots"
     )
-    store_inspect.add_argument("path", help="results JSONL file or SQLite store")
+    store_inspect.add_argument("path", help="SQLite store")
     store_inspect.add_argument("--json", action="store_true",
                                help="machine-readable JSON instead of a table")
     store_verify = store_sub.add_parser(
@@ -203,24 +202,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit a store: log shape, snapshot consistency, and every "
              "incremental projection against a full rebuild",
     )
-    store_verify.add_argument("path", help="results JSONL file or SQLite store")
+    store_verify.add_argument("path", help="SQLite store")
     store_export = store_sub.add_parser(
         "export",
-        help="copy every record of one store into another (format "
-             "conversion: jsonl <-> sqlite)",
+        help="copy a store or results file into a new path (format "
+             "conversion: jsonl <-> sqlite; a JSONL destination gets the "
+             "records only)",
     )
-    store_export.add_argument("path", help="source store")
-    store_export.add_argument("dest", help="destination store path")
     store_export.add_argument(
-        "--store-backend", choices=("jsonl", "sqlite"), default=None,
-        help="destination format (default: sniffed from the path)",
+        "path", help="source SQLite store or JSONL results file"
+    )
+    store_export.add_argument(
+        "dest", help="new or empty destination: SQLite for a .sqlite/.db "
+                     "path, else a JSONL results file"
     )
     store_ingest = store_sub.add_parser(
         "ingest",
         help="append the events of telemetry JSONL log(s) to a store's "
              "notification log",
     )
-    store_ingest.add_argument("path", help="destination store")
+    store_ingest.add_argument("path", help="destination SQLite store")
     store_ingest.add_argument(
         "events", nargs="+", help="telemetry event log(s) written by --events-dir"
     )
@@ -290,30 +291,32 @@ def _operator_error(exc: Exception) -> int:
 
 
 def _check_sizes(args: argparse.Namespace) -> None:
-    """Reject ``--apps``, ``--sequences`` or ``--jobs`` below 1 up front."""
+    """Reject ``--apps``, ``--sequences`` or ``--jobs`` below 1 and a
+    non-positive ``--cell-timeout`` up front."""
     for option in ("apps", "sequences", "jobs"):
         value = getattr(args, option, None)
         if value is not None and value < 1:
             raise ValueError(f"--{option} must be >= 1, got {value}")
+    timeout = getattr(args, "cell_timeout", None)
+    if timeout is not None and not timeout > 0:
+        raise ValueError(f"--cell-timeout must be > 0, got {timeout:g}")
 
 
-def _effective_snapshot_every(args: argparse.Namespace) -> int:
-    """Resolve ``--snapshot-every`` (``--resume`` implies the default)."""
-    if args.snapshot_every is not None:
-        if args.snapshot_every < 1:
-            raise ValueError(
-                f"--snapshot-every must be >= 1, got {args.snapshot_every}"
-            )
-        return args.snapshot_every
-    return DEFAULT_SNAPSHOT_EVERY if args.resume else 0
+def _campaign_store(scenario_name: str, args: argparse.Namespace):
+    """The store a ``campaign run``/``fleet run`` writes to, plus the
+    effective ``--snapshot-every`` (``--resume`` implies the default).
 
-
-def _default_out(scenario_name: str, args: argparse.Namespace) -> str:
-    """The results path when ``--out`` is absent (backend picks the suffix)."""
-    if args.out:
-        return args.out
-    suffix = "sqlite" if args.store_backend == "sqlite" else "jsonl"
-    return f"results/{scenario_name}.{suffix}"
+    Without ``--out`` a durable run writes ``results/<name>.sqlite`` and
+    a plain one ``results/<name>.jsonl``.
+    """
+    snapshot_every = args.snapshot_every
+    if snapshot_every is None:
+        snapshot_every = DEFAULT_SNAPSHOT_EVERY if args.resume else 0
+    elif snapshot_every < 1:
+        raise ValueError(f"--snapshot-every must be >= 1, got {snapshot_every}")
+    suffix = "sqlite" if snapshot_every else "jsonl"
+    out = args.out or f"results/{scenario_name}.{suffix}"
+    return resolve_store(out, args.resume, snapshot_every), snapshot_every
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -356,18 +359,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         # (e.g. --sequences 0).
         return _operator_error(exc)
     try:
-        snapshot_every = _effective_snapshot_every(args)
+        store, snapshot_every = _campaign_store(scenario.name, args)
     except ValueError as exc:
         return _operator_error(exc)
     runner = CampaignRunner(
         jobs=args.jobs,
-        store=_default_out(scenario.name, args),
+        store=store,
         raw_samples=args.raw_samples,
         events_dir=args.events_dir,
-        timeout_s=getattr(args, "cell_timeout", None),
+        timeout_s=args.cell_timeout,
         snapshot_every=snapshot_every,
         resume=args.resume,
-        store_backend=args.store_backend,
     )
     try:
         records = runner.run(scenario)
@@ -380,7 +382,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"\nresume: {outcome.resumed} cell(s) already persisted, "
             f"{outcome.executed} executed this run"
         )
-    print(f"\n{len(records)} records appended to {runner.store.path}")
+    print(f"\n{len(records)} records appended to {store.path}")
     if args.events_dir:
         print(f"telemetry event logs written under {args.events_dir}")
     return 0
@@ -428,20 +430,18 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         return _operator_error(exc)
     try:
-        snapshot_every = _effective_snapshot_every(args)
+        store, snapshot_every = _campaign_store(scenario.name, args)
     except ValueError as exc:
         return _operator_error(exc)
-    out = _default_out(scenario.name, args)
     try:
         result = Fleet(scenario).run(
             jobs=args.jobs,
-            store=out,
+            store=store,
             keep_raw_samples=args.raw_samples,
             events_dir=args.events_dir,
-            timeout_s=getattr(args, "cell_timeout", None),
+            timeout_s=args.cell_timeout,
             snapshot_every=snapshot_every,
             resume=args.resume,
-            store_backend=args.store_backend,
         )
     except StoreFormatError as exc:
         return _operator_error(exc)
@@ -452,7 +452,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             f"persisted, {len(result.records) - result.resumed_cells} "
             "executed this run"
         )
-    print(f"\n{len(result.records)} shard records appended to {out}")
+    print(f"\n{len(result.records)} shard records appended to {store.path}")
     if args.events_dir:
         print(f"telemetry event logs written under {args.events_dir}")
     return 0
@@ -502,24 +502,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_replay_records(path: str):
-    """Load RunRecords + skipped-line count from a JSONL file or SQLite store.
-
-    SQLite stores are binary, so they are detected *before* any text-mode
-    sniffing; a dropped (truncated) line in a JSONL file is surfaced in
-    the count rather than hidden behind a warning.
-    """
-    from .store import is_sqlite_path, open_store
-
-    if is_sqlite_path(path):
-        if not Path(path).exists():
-            raise FileNotFoundError(2, "No such file or directory", str(path))
-        with open_store(path, backend="sqlite") as store:
-            return store.load(), store.skipped_lines
-    store = ResultsStore(path)
-    return store.load(), store.skipped_lines
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
     # A fuzzer-found repro replays as a fresh oracle comparison — the
     # one-command reproduction of a persisted kernel divergence.  All
@@ -555,7 +537,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                     json=as_json,
                 )
                 return _cmd_telemetry(telemetry_args)
-        records, skipped = _load_replay_records(args.path)
+        records, skipped = load_records(args.path)
         figure = getattr(args, "figure", "summary")
         payload = {
             "path": str(args.path),
@@ -655,44 +637,77 @@ def _cmd_store(args: argparse.Namespace) -> int:
             ))
             return 0
         if args.store_command == "export":
-            if not Path(args.path).exists():
-                raise FileNotFoundError(
-                    2, "No such file or directory", str(args.path)
-                )
-            with open_store(args.path) as source:
-                notifications = list(source.select())
-            copied = {"record": 0, "event": 0, "snapshot": 0}
-            for notification in notifications:
-                copied[notification.kind] = copied.get(notification.kind, 0) + 1
-            with open_store(args.dest, backend=args.store_backend) as dest:
-                dest.recorder.append(
-                    (n.kind, n.payload) for n in notifications
-                )
-                from .store import update_projections
-
-                update_projections(dest)
-            print(
-                f"exported {copied['record']} record(s), "
-                f"{copied['event']} event(s), "
-                f"{copied['snapshot']} snapshot(s): "
-                f"{args.path} -> {args.dest}"
-            )
-            return 0
+            return _export_store(args.path, args.dest)
         if args.store_command == "ingest":
             from .telemetry import load_events
 
-            total = 0
+            # Every log loads before the destination opens: a bad log
+            # leaves no store behind.
+            logs = [(path, load_events(path)) for path in args.events]
             with open_store(args.path) as store:
-                for events_path in args.events:
-                    events = load_events(events_path)
+                for events_path, events in logs:
                     store.append_events(events)
-                    total += len(events)
                     print(f"  {events_path}: {len(events)} event(s)")
+            total = sum(len(events) for _, events in logs)
             print(f"ingested {total} event(s) into {args.path}")
             return 0
     except (KeyError, ValueError, FileNotFoundError) as exc:
         return _operator_error(exc)
     return 2  # pragma: no cover - argparse enforces the choices
+
+
+def _export_store(source: str, dest: str) -> int:
+    """``store export``: copy a store or results file into a new path.
+
+    A SQLite source gives its whole notification log, a JSONL results
+    file (read by the replay loader) its records.  A SQLite destination
+    takes every notification and rebuilds its projections; any other
+    destination becomes a plain results file holding the records only.
+    The destination must be new or empty: exporting into a store that
+    already holds notifications would append a second copy.
+    """
+    from .store import KIND_RECORD, is_sqlite_path, open_store, update_projections
+
+    if not Path(source).exists():
+        raise FileNotFoundError(2, "No such file or directory", str(source))
+    if is_sqlite_path(source):
+        with open_store(source) as store:
+            entries = [(n.kind, n.payload) for n in store.select()]
+    else:
+        entries = [(KIND_RECORD, r.to_dict()) for r in load_records(source)[0]]
+    counts = {"record": 0, "event": 0, "snapshot": 0}
+    for kind, _ in entries:
+        counts[kind] += 1
+    if is_sqlite_path(dest):
+        with open_store(dest) as store:
+            held = store.max_id()
+            if held:
+                raise ValueError(
+                    f"export destination {dest} already holds {held} "
+                    "notification(s); export into a new path"
+                )
+            store.recorder.append(entries)
+            update_projections(store)
+        print(
+            f"exported {counts['record']} record(s), {counts['event']} "
+            f"event(s), {counts['snapshot']} snapshot(s): {source} -> {dest}"
+        )
+        return 0
+    if Path(dest).exists() and Path(dest).stat().st_size:
+        raise ValueError(
+            f"export destination {dest} is not empty; export into a new path"
+        )
+    ResultsStore(dest).write(
+        RunRecord.from_dict(payload)
+        for kind, payload in entries
+        if kind == KIND_RECORD
+    )
+    print(
+        f"exported {counts['record']} record(s) to a results file, leaving "
+        f"out {counts['event']} event(s) and {counts['snapshot']} "
+        f"snapshot(s): {source} -> {dest}"
+    )
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -449,7 +449,6 @@ class Fleet:
         timeout_s: Optional[float] = None,
         snapshot_every: int = 0,
         resume: bool = False,
-        store_backend: Optional[str] = None,
     ) -> FleetResult:
         """Execute every shard cell and roll the records up.
 
@@ -461,12 +460,16 @@ class Fleet:
         the full telemetry stream: one admission log per seed from the
         front-end plus one event log per (seed × shard) cell.
 
-        ``snapshot_every`` / ``resume`` / ``store_backend`` opt the run
-        into the durable event store (:mod:`repro.store`): records append
-        in checkpointed chunks and an interrupted run resumed with
-        ``resume=True`` skips finished shard cells, producing records and
-        rollups bit-identical to an uninterrupted run.
+        ``snapshot_every`` / ``resume`` opt the run into the durable
+        SQLite store (:mod:`repro.store`): records append in checkpointed
+        chunks and an interrupted run resumed with ``resume=True`` skips
+        finished shard cells, producing records and rollups bit-identical
+        to an uninterrupted run.  The store is resolved
+        (:func:`~repro.store.resolve_store`) before anything runs.
         """
+        from ..store import execute_with_store, resolve_store
+
+        store = resolve_store(store, resume, snapshot_every)
         backend = make_backend(jobs, timeout_s=timeout_s)
         plans, serving_plans = self.plan_bundle(events_dir=events_dir)
         cells = self.cells(
@@ -475,19 +478,6 @@ class Fleet:
             keep_raw_samples=keep_raw_samples,
             events_dir=events_dir,
         )
-        if isinstance(store, (str, Path)):
-            from ..store import is_sqlite_path, open_store
-
-            if (
-                resume
-                or snapshot_every > 0
-                or store_backend is not None
-                or is_sqlite_path(store)
-            ):
-                store = open_store(store, backend=store_backend)
-            else:
-                store = ResultsStore(store)
-        from ..store.resume import execute_with_store
 
         outcome = execute_with_store(
             backend,

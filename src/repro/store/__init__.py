@@ -1,21 +1,21 @@
-"""Durable event store: recorders, notification log, snapshots, projections.
+"""Durable event store: recorder, notification log, snapshots, projections.
 
-The persistence spine of the repo (PR 9): every campaign record, telemetry
-event and periodic snapshot flows through one monotonically numbered
-notification log behind a pluggable :class:`EventRecorder` —
-single-file SQLite (:class:`SqliteRecorder`) or the legacy campaign JSONL
-format (:class:`JsonlRecorder`, bit-compatible with existing
-``results/*.jsonl`` files).  On top of the log: ``--resume`` via
-:class:`CampaignSnapshot` checkpoints (:mod:`repro.store.resume`) and
-reports as watermark-tracked incremental projections
-(:mod:`repro.store.projections`).
+The persistence spine of the repo: every campaign record, telemetry event
+and periodic snapshot flows through one monotonically numbered
+notification log in a single-file SQLite database
+(:class:`SqliteRecorder`).  Plain ``results/*.jsonl`` files stay the
+records-only format of runs that ask for no durability
+(:class:`~repro.campaign.results.ResultsStore`).  On top of the log:
+``--resume`` via :class:`CampaignSnapshot` checkpoints
+(:mod:`repro.store.resume`) and reports as watermark-tracked incremental
+projections (:mod:`repro.store.projections`).
 """
 
 from .campaign_store import (
     CampaignStore,
-    RECORDER_BACKENDS,
     as_campaign_store,
     open_store,
+    resolve_store,
 )
 from .notification import (
     KIND_EVENT,
@@ -23,7 +23,6 @@ from .notification import (
     KIND_SNAPSHOT,
     NOTIFICATION_KINDS,
     Notification,
-    NotificationLog,
     StoreFormatError,
 )
 from .projections import (
@@ -36,12 +35,7 @@ from .projections import (
     update_projections,
     verify_store_projections,
 )
-from .recorder import (
-    EventRecorder,
-    JsonlRecorder,
-    SqliteRecorder,
-    is_sqlite_path,
-)
+from .recorder import SqliteRecorder, is_sqlite_path
 from .resume import (
     DEFAULT_SNAPSHOT_EVERY,
     ExecutionOutcome,
@@ -53,19 +47,15 @@ __all__ = [
     "CampaignSnapshot",
     "CampaignStore",
     "DEFAULT_SNAPSHOT_EVERY",
-    "EventRecorder",
     "ExecutionOutcome",
     "FigureProjection",
     "FleetRollupProjection",
-    "JsonlRecorder",
     "KIND_EVENT",
     "KIND_RECORD",
     "KIND_SNAPSHOT",
     "NOTIFICATION_KINDS",
     "Notification",
-    "NotificationLog",
     "Projection",
-    "RECORDER_BACKENDS",
     "RecordSummaryProjection",
     "SNAPSHOT_SCHEMA",
     "SqliteRecorder",
@@ -78,6 +68,7 @@ __all__ = [
     "execute_with_store",
     "is_sqlite_path",
     "open_store",
+    "resolve_store",
     "update_projections",
     "verify_store_projections",
 ]

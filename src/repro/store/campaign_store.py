@@ -1,13 +1,14 @@
 """The high-level campaign store: records, events and snapshots on one log.
 
 :class:`CampaignStore` is what the persistence layer hands the campaign
-runner and the fleet: a :class:`~repro.store.recorder.EventRecorder`
+runner and the fleet: a :class:`~repro.store.recorder.SqliteRecorder`
 wrapped in the domain vocabulary — append :class:`RunRecord` batches,
 ingest telemetry events, checkpoint :class:`CampaignSnapshot`\\ s, read
 everything back as one ordered notification log.  It is
-``ResultsStore``-compatible (``extend`` / ``load`` / ``path`` /
-``skipped_lines``), so every existing call site keeps working while
-gaining snapshots, resume and incremental projections.
+``ResultsStore``-compatible (``extend`` / ``load`` / ``path``), so every
+existing call site keeps working while gaining snapshots, resume and
+incremental projections.  :func:`resolve_store` is the one place a
+``store=`` argument (path or object) becomes the store a run writes to.
 """
 
 from __future__ import annotations
@@ -15,43 +16,21 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .notification import (
-    KIND_EVENT,
-    KIND_RECORD,
-    KIND_SNAPSHOT,
-    Notification,
-    NotificationLog,
-)
-from .recorder import (
-    EventRecorder,
-    JsonlRecorder,
-    SqliteRecorder,
-    is_sqlite_path,
-)
+from .notification import KIND_EVENT, KIND_RECORD, KIND_SNAPSHOT, Notification
+from .recorder import SqliteRecorder, is_sqlite_path
 from .snapshot import CampaignSnapshot
-
-#: Recorder constructors by backend tag (the ``--store-backend`` choices).
-RECORDER_BACKENDS = {
-    "jsonl": JsonlRecorder,
-    "sqlite": SqliteRecorder,
-}
 
 
 class CampaignStore:
     """Domain surface over one durable notification log."""
 
-    def __init__(self, recorder: EventRecorder) -> None:
+    def __init__(self, recorder: SqliteRecorder) -> None:
         self.recorder = recorder
-        self.log = NotificationLog(recorder)
 
     # -- ResultsStore-compatible surface ---------------------------------
     @property
     def path(self) -> Path:
         return self.recorder.path
-
-    @property
-    def skipped_lines(self) -> int:
-        return getattr(self.recorder, "skipped_lines", 0)
 
     def extend(self, records: Iterable) -> Path:
         """Durably append records (the ``ResultsStore.extend`` contract)."""
@@ -159,51 +138,68 @@ def _newest_snapshot(
     return None
 
 
-def open_store(
-    path: Union[str, Path], backend: Optional[str] = None
-) -> CampaignStore:
-    """Open (or create) the campaign store at ``path``.
+def _export_hint(path: Union[str, Path]) -> str:
+    path = Path(path)
+    return (
+        "convert a results file with: python -m repro store export "
+        f"{path} {path.with_suffix('.sqlite')}"
+    )
 
-    ``backend`` forces an adapter (``"jsonl"`` / ``"sqlite"``); when
-    omitted the path is sniffed — a ``.sqlite``/``.db`` suffix or SQLite
-    file magic selects :class:`SqliteRecorder`, anything else (including
-    every legacy ``results/*.jsonl`` file) the wrapping
-    :class:`JsonlRecorder`.
+
+def open_store(path: Union[str, Path]) -> CampaignStore:
+    """Open (or create) the SQLite campaign store at ``path``.
+
+    ``path`` must name a SQLite store (:func:`is_sqlite_path`: a
+    ``.sqlite``/``.sqlite3``/``.db`` suffix or SQLite file magic); any
+    other path is refused before anything is created.
     """
-    if backend is None:
-        backend = "sqlite" if is_sqlite_path(path) else "jsonl"
-    try:
-        recorder_cls = RECORDER_BACKENDS[backend]
-    except KeyError:
+    if not is_sqlite_path(path):
         raise ValueError(
-            f"unknown store backend {backend!r}; "
-            f"available: {', '.join(RECORDER_BACKENDS)}"
-        ) from None
-    return CampaignStore(recorder_cls(path))
+            f"{path} is not a SQLite store (.sqlite/.db); "
+            + _export_hint(path)
+        )
+    return CampaignStore(SqliteRecorder(path))
 
 
 def as_campaign_store(store) -> CampaignStore:
-    """Upgrade any store-like argument to a :class:`CampaignStore`.
-
-    Accepts an existing :class:`CampaignStore`, a plain
-    :class:`~repro.campaign.results.ResultsStore` (wrapped on the same
-    path, records preserved), or a path.
-    """
+    """A :class:`CampaignStore` as is, or the SQLite store at a path."""
     if isinstance(store, CampaignStore):
         return store
+    return open_store(store)
+
+
+def resolve_store(store, resume: bool = False, snapshot_every: int = 0):
+    """Map a ``store=`` argument onto the store a run writes to.
+
+    A store object (or None) passes through; a SQLite path
+    (:func:`is_sqlite_path`) opens a :class:`CampaignStore`; any other
+    path is a plain :class:`~repro.campaign.results.ResultsStore`.
+    Resume and snapshots need the SQLite store: requesting either
+    without one raises ``ValueError`` naming the fix, before anything is
+    written.
+    """
     if isinstance(store, (str, Path)):
-        return open_store(store)
-    path = getattr(store, "path", None)
-    if path is None:
-        raise TypeError(
-            f"cannot upgrade {type(store).__name__} to a CampaignStore"
+        if is_sqlite_path(store):
+            return open_store(store)
+        from ..campaign.results import ResultsStore  # lazy: avoids a cycle
+
+        store = ResultsStore(store)
+    if (resume or snapshot_every > 0) and not isinstance(store, CampaignStore):
+        if store is None:
+            raise ValueError(
+                "snapshots/resume need a persistent store (pass --out)"
+            )
+        option = "--resume" if resume else "--snapshot-every"
+        raise ValueError(
+            f"{option} needs a SQLite store (.sqlite/.db), not "
+            f"{store.path}; " + _export_hint(store.path)
         )
-    return open_store(path)
+    return store
 
 
 __all__ = [
     "CampaignStore",
-    "RECORDER_BACKENDS",
     "as_campaign_store",
     "open_store",
+    "resolve_store",
 ]

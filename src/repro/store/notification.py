@@ -13,7 +13,7 @@ increasing, so any consumer can resume from a watermark with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict
 
 #: A persisted campaign run record (payload = ``RunRecord.to_dict()``).
 KIND_RECORD = "record"
@@ -52,42 +52,11 @@ class Notification:
             )
 
 
-class NotificationLog:
-    """The ordered read surface over a recorder.
-
-    ``select(start, limit)`` returns notifications with ``id >= start``
-    in id order — the only read primitive projections and resume need.
-    A thin view object (rather than the recorder itself) so consumers
-    that should only *read* never see the append surface.
-    """
-
-    def __init__(self, recorder) -> None:
-        self._recorder = recorder
-
-    def select(
-        self, start: int = 1, limit: Optional[int] = None
-    ) -> List[Notification]:
-        """Notifications with ``id >= start``, oldest first."""
-        return self._recorder.select(start=start, limit=limit)
-
-    def max_id(self) -> int:
-        """The id of the newest notification (0 when empty)."""
-        return self._recorder.max_id()
-
-    def counts(self) -> Dict[str, int]:
-        """Notification counts per kind."""
-        return self._recorder.counts()
-
-    def __iter__(self) -> Iterable[Notification]:
-        return iter(self.select())
-
-
 __all__ = [
     "KIND_EVENT",
     "KIND_RECORD",
     "KIND_SNAPSHOT",
     "NOTIFICATION_KINDS",
     "Notification",
-    "NotificationLog",
     "StoreFormatError",
 ]

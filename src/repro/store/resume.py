@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..telemetry.digest import ResponseDigest
-from .campaign_store import CampaignStore, as_campaign_store
+from .campaign_store import CampaignStore, resolve_store
 from .snapshot import CampaignSnapshot, cell_key, cell_spec
 
 #: Default checkpoint cadence (cells per snapshot) for the CLI surface.
@@ -63,31 +63,19 @@ def execute_with_store(
 ) -> ExecutionOutcome:
     """Run ``cells`` through ``backend`` with durable, resumable persistence.
 
-    ``store`` may be None (no persistence), a plain
-    :class:`~repro.campaign.results.ResultsStore` (legacy single-append
-    path, byte-identical to the pre-store behavior), or anything
-    :func:`~repro.store.campaign_store.as_campaign_store` accepts.
-    Snapshots and resume require a store; asking for them without one is
-    an error rather than a silent no-op.
+    ``store`` is None (no persistence) or anything
+    :func:`~repro.store.campaign_store.resolve_store` accepts.  A plain
+    :class:`~repro.campaign.results.ResultsStore` takes the single-append
+    path; snapshots and resume need a :class:`CampaignStore`, and asking
+    for them without one is an error rather than a silent no-op.
     """
     if snapshot_every < 0:
         raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
     cells = list(cells)
-    wants_features = resume or snapshot_every > 0
-    if wants_features and store is None:
-        raise ValueError(
-            "snapshots/resume need a persistent store (pass --out)"
-        )
+    store = resolve_store(store, resume, snapshot_every)
 
-    campaign_store: Optional[CampaignStore] = None
-    if store is not None and (
-        wants_features or isinstance(store, CampaignStore)
-    ):
-        campaign_store = as_campaign_store(store)
-
-    if campaign_store is None:
-        # Legacy path: one backend call, one append — bit-identical to the
-        # pre-store runner for callers that never asked for durability.
+    if not isinstance(store, CampaignStore):
+        # Plain path: one backend call, one append to the results file.
         records = backend.run(cells)
         if store is not None:
             store.extend(records)
@@ -103,7 +91,7 @@ def execute_with_store(
     from .projections import default_projections, update_projections
 
     projections = [
-        projection.load(campaign_store) for projection in default_projections()
+        projection.load(store) for projection in default_projections()
     ]
 
     keys = [cell_key(cell) for cell in cells]
@@ -115,7 +103,7 @@ def execute_with_store(
                 "(same scenario/system/sequence/seed/shard); matching "
                 "persisted records to cells would be ambiguous"
             )
-        completed, _ = campaign_store.completed_cells()
+        completed, _ = store.completed_cells()
 
     results: Dict[int, object] = {}
     pending: List[int] = []
@@ -141,13 +129,13 @@ def execute_with_store(
             # Records land before the snapshot that covers them: a crash
             # between the two appends only loses the checkpoint, never
             # work — resume's tail scan re-derives the uncovered records.
-            campaign_store.append_records(chunk_records)
+            store.append_records(chunk_records)
             if snapshot_every > 0:
                 done = [i for i in range(len(cells)) if i in results]
                 done_records = [
                     results[i] for i in done if not results[i].failed
                 ]
-                campaign_store.record_snapshot(
+                store.record_snapshot(
                     CampaignSnapshot(
                         completed=tuple(
                             keys[i] for i in done if not results[i].failed
@@ -158,14 +146,14 @@ def execute_with_store(
                             for i in done
                             if not results[i].failed
                         ),
-                        covered_id=campaign_store.max_id(),
+                        covered_id=store.max_id(),
                     )
                 )
                 snapshots += 1
-            update_projections(campaign_store, projections)
+            update_projections(store, projections)
 
     if not pending:
-        update_projections(campaign_store, projections)
+        update_projections(store, projections)
 
     return ExecutionOutcome(
         records=[results[i] for i in range(len(cells))],

@@ -83,7 +83,7 @@ def add_verify_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--store", default=None, metavar="PATH",
-        help="audit a durable event store instead of sweeping: check "
+        help="audit a durable SQLite store instead of sweeping: check "
              "notification-log shape, snapshot consistency, and that every "
              "persisted incremental projection equals a full rebuild",
     )

@@ -123,6 +123,9 @@ class TestProcessBackendRobustness:
             ProcessBackend(jobs=2, max_retries=-1)
         with pytest.raises(ValueError, match="jobs"):
             ProcessBackend(jobs=0)
+        for timeout_s in (0, -1.0):
+            with pytest.raises(ValueError, match="timeout_s must be > 0"):
+                ProcessBackend(jobs=2, timeout_s=timeout_s)
 
 
 class TestFailureRecords:

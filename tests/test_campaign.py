@@ -237,7 +237,7 @@ class TestResultsStore:
                 systems=("FCFS",),
             )
         )
-        assert [r.to_dict() for r in load_records(path)] == [
+        assert [r.to_dict() for r in load_records(path)[0]] == [
             r.to_dict() for r in records
         ]
 
@@ -364,7 +364,7 @@ class TestFigureReplay:
             conditions=(Condition.STRESS,),
             store=path,
         )
-        replayed = Fig5Result.from_records(load_records(path))
+        replayed = Fig5Result.from_records(load_records(path)[0])
         assert replayed.reductions == live.reductions
         assert replayed.table() == live.table()
 
@@ -400,7 +400,7 @@ class TestFigureReplay:
         run(3)
         run(4)
         with pytest.raises(ValueError, match="duplicate"):
-            reductions_from_records(load_records(path))
+            reductions_from_records(load_records(path)[0])
 
 
 class TestBackends:
@@ -450,6 +450,9 @@ class TestCampaignCLI:
         ["fig8", "--jobs", "0"],
         ["campaign", "run", "smoke", "--jobs", "0"],
         ["fleet", "run", "fleet-smoke", "--jobs", "-3"],
+        ["campaign", "run", "smoke", "--jobs", "2", "--cell-timeout", "0"],
+        ["campaign", "run", "smoke", "--jobs", "2", "--cell-timeout", "-1"],
+        ["fleet", "run", "fleet-smoke", "--jobs", "2", "--cell-timeout", "0"],
     ])
     def test_sizes_below_one_are_operator_errors(self, argv, tmp_path, capsys):
         from repro.cli import main
@@ -458,6 +461,19 @@ class TestCampaignCLI:
         assert main([*argv, "--out", str(out_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --") and err.count("\n") == 1
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("figure", ["fig5", "fig6", "fig8"])
+    def test_figures_take_no_cell_timeout(self, figure, tmp_path, capsys):
+        from repro.cli import main
+
+        out_path = tmp_path / "out.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main([figure, "--jobs", "2", "--cell-timeout", "-1",
+                  "--out", str(out_path)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cell-timeout" in \
+            capsys.readouterr().err
         assert not out_path.exists()
 
     def test_list_systems(self, capsys):

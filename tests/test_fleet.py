@@ -284,7 +284,7 @@ class TestFleetExecution:
         store = tmp_path / "fleet.jsonl"
         result = Fleet(get_fleet_scenario("fleet-smoke")).run(store=store)
         assert [r.shard for r in result.records] == [0, 1]
-        loaded = load_records(store)
+        loaded, _ = load_records(store)
         assert [r.to_dict() for r in loaded] == [r.to_dict() for r in result.records]
         assert all(r.condition == "Stress" for r in loaded)
 
@@ -417,7 +417,7 @@ class TestFleetCLI:
             "--apps", "6", "--seed", "2", "--out", str(store),
         ])
         assert code == 0
-        records = load_records(store)
+        records, _ = load_records(store)
         assert len(records) == 3
         assert sum(r.n_apps for r in records) == 6
         assert all(r.seed == 2 for r in records)

@@ -2,21 +2,25 @@
 
 The store contract under test, end to end:
 
-* both recorders (JSONL sidecar and SQLite) persist one globally ordered
-  notification log of records, telemetry events and snapshots, and read
-  it back identically after a reopen;
+* the SQLite recorder persists one globally ordered notification log of
+  records, telemetry events and snapshots, and reads it back identically
+  after a reopen;
 * ``ResultsStore.extend`` on a brand-new path writes the same header line
   ``write`` does, so every results file is self-describing (pinned by a
   byte-level round trip);
 * an interrupted campaign resumed with ``resume=True`` skips the cells
   the store already holds, re-executes the rest, and ends bit-identical
-  to an uninterrupted run — serial and process backends, both recorders;
+  to an uninterrupted run — serial and process backends;
 * reports fold as *incremental* projections (only past-watermark
   notifications are consumed, counted and asserted) and match both a
-  full rebuild and the batch reference implementations exactly.
+  full rebuild and the batch reference implementations exactly;
+* a plain JSONL results file is never a store: durable runs and store
+  commands refuse it with exit 2 and write nothing, and ``store export``
+  converts between the two formats.
 """
 
 import json
+import os
 import sqlite3
 
 import pytest
@@ -39,7 +43,6 @@ from repro.store import (
     DEFAULT_SNAPSHOT_EVERY,
     FigureProjection,
     FleetRollupProjection,
-    JsonlRecorder,
     KIND_EVENT,
     KIND_RECORD,
     KIND_SNAPSHOT,
@@ -59,11 +62,8 @@ from repro.telemetry import load_events, replay_aggregation, replay_notification
 from repro.telemetry.sinks import RecorderEventSink
 from repro.workloads.generator import Condition, WorkloadSpec
 
-BACKENDS = ("jsonl", "sqlite")
-
-
-def _suffix(backend: str) -> str:
-    return "sqlite" if backend == "sqlite" else "jsonl"
+#: SQLite store suffixes: a store behaves the same under either.
+SUFFIXES = ("sqlite", "db")
 
 
 def _scenario(name: str = "storecase", sequences: int = 2) -> Scenario:
@@ -113,14 +113,28 @@ class InterruptingBackend:
         return self.inner.run(cells)
 
 
+def _dump(path):
+    """A SQLite store's whole logical content, row by row."""
+    conn = sqlite3.connect(path)
+    try:
+        return list(conn.iterdump())
+    finally:
+        conn.close()
+
+
+def _files(directory):
+    """Every file under ``directory`` with its bytes."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
 class TestRecorders:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("suffix", SUFFIXES)
     def test_mixed_kind_roundtrip_survives_reopen(
-        self, tmp_path, backend, campaign_records
+        self, tmp_path, suffix, campaign_records
     ):
         _, records = campaign_records
-        path = tmp_path / f"log.{_suffix(backend)}"
-        with open_store(path, backend=backend) as store:
+        path = tmp_path / f"log.{suffix}"
+        with open_store(path) as store:
             ids = store.append_records(records[:2])
             assert ids == [1, 2]
             store.recorder.append([(KIND_SNAPSHOT, {"schema": 1,
@@ -131,7 +145,7 @@ class TestRecorders:
             ids = store.append_records(records[2:])
             assert ids == [4, 5]
             before = [(n.id, n.kind, n.payload) for n in store.select()]
-        with open_store(path, backend=backend) as store:
+        with open_store(path) as store:
             after = [(n.id, n.kind, n.payload) for n in store.select()]
             assert after == before
             assert [n.id for n in store.select()] == [1, 2, 3, 4, 5]
@@ -144,10 +158,9 @@ class TestRecorders:
             assert [r.to_dict() for r in loaded] == \
                 [r.to_dict() for r in records]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unknown_kind_rejected(self, tmp_path, backend):
-        with open_store(tmp_path / f"log.{_suffix(backend)}",
-                        backend=backend) as store:
+    @pytest.mark.parametrize("suffix", SUFFIXES)
+    def test_unknown_kind_rejected(self, tmp_path, suffix):
+        with open_store(tmp_path / f"log.{suffix}") as store:
             with pytest.raises(ValueError, match="unknown notification kind"):
                 store.recorder.append([("bogus", {})])
 
@@ -163,39 +176,10 @@ class TestRecorders:
         magic = tmp_path / "mystery"
         magic.write_bytes(b"SQLite format 3\x00" + b"\x00" * 16)
         assert is_sqlite_path(magic)
-        with pytest.raises(ValueError, match="unknown store backend"):
-            open_store(tmp_path / "x.jsonl", backend="parquet")
-
-    def test_jsonl_recorder_wraps_legacy_results_file(
-        self, tmp_path, campaign_records
-    ):
-        _, records = campaign_records
-        legacy = ResultsStore(tmp_path / "legacy.jsonl")
-        legacy.write(records)
-        with open_store(legacy.path) as store:
-            assert isinstance(store.recorder, JsonlRecorder)
-            assert store.counts() == {"record": len(records)}
-            assert [r.to_dict() for r in store.load()] == \
-                [r.to_dict() for r in records]
-        # the wrap is non-destructive: the plain loader still works and
-        # the results file itself carries no sidecar noise
-        assert [r.to_dict() for r in ResultsStore(legacy.path).load()] == \
-            [r.to_dict() for r in records]
-
-    def test_jsonl_sidecar_heals_out_of_band_appends(
-        self, tmp_path, campaign_records
-    ):
-        _, records = campaign_records
-        path = tmp_path / "healed.jsonl"
-        with open_store(path) as store:
-            store.append_records(records[:2])
-        # a legacy writer appends directly to the results file,
-        # bypassing the sidecar
-        ResultsStore(path).extend(records[2:])
-        with open_store(path) as store:
-            assert store.counts()["record"] == len(records)
-            assert [r.to_dict() for r in store.load()] == \
-                [r.to_dict() for r in records]
+        # any other path is refused before a database is created under it
+        with pytest.raises(ValueError, match="store export"):
+            open_store(tmp_path / "x.jsonl")
+        assert not (tmp_path / "x.jsonl").exists()
 
 
 class TestResultsFileHeader:
@@ -236,13 +220,13 @@ class TestSnapshotsAndResume:
         )
         assert CampaignSnapshot.from_dict(snapshot.to_dict()) == snapshot
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("suffix", SUFFIXES)
     def test_snapshot_cadence_and_tail_bound(
-        self, tmp_path, backend, campaign_records
+        self, tmp_path, suffix, campaign_records
     ):
         cells, _ = campaign_records
-        path = tmp_path / f"snap.{_suffix(backend)}"
-        with open_store(path, backend=backend) as store:
+        path = tmp_path / f"snap.{suffix}"
+        with open_store(path) as store:
             outcome = execute_with_store(
                 SerialBackend(), cells, store=store, snapshot_every=2
             )
@@ -260,32 +244,32 @@ class TestSnapshotsAndResume:
             assert tail == 1
             assert len(completed) == len(cells)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("suffix", SUFFIXES)
     @pytest.mark.parametrize("jobs", (1, 2))
     def test_interrupted_then_resumed_is_bit_identical(
-        self, tmp_path, backend, jobs, campaign_records
+        self, tmp_path, suffix, jobs, campaign_records
     ):
         cells, clean_records = campaign_records
-        clean_path = tmp_path / f"clean.{_suffix(backend)}"
-        with open_store(clean_path, backend=backend) as store:
+        clean_path = tmp_path / f"clean.{suffix}"
+        with open_store(clean_path) as store:
             execute_with_store(
                 SerialBackend(), cells, store=store, snapshot_every=2
             )
 
-        resumed_path = tmp_path / f"resumed.{_suffix(backend)}"
-        store = open_store(resumed_path, backend=backend)
+        resumed_path = tmp_path / f"resumed.{suffix}"
+        store = open_store(resumed_path)
         crash = InterruptingBackend(SerialBackend(), fail_after=2)
         with pytest.raises(RuntimeError, match="simulated crash"):
             execute_with_store(
                 crash, cells, store=store, snapshot_every=2
             )
         store.close()
-        assert open_store(resumed_path, backend=backend).counts()["record"] == 2
+        assert open_store(resumed_path).counts()["record"] == 2
 
         resume_backend = (
             SerialBackend() if jobs == 1 else ProcessBackend(jobs=jobs)
         )
-        with open_store(resumed_path, backend=backend) as store:
+        with open_store(resumed_path) as store:
             outcome = execute_with_store(
                 resume_backend, cells, store=store,
                 snapshot_every=2, resume=True,
@@ -294,33 +278,27 @@ class TestSnapshotsAndResume:
         assert outcome.executed == 2
         assert [r.to_dict() for r in outcome.records] == \
             [r.to_dict() for r in clean_records]
-        if backend == "jsonl":
-            # the results file (records + header) is byte-identical to
-            # the uninterrupted run's
-            assert resumed_path.read_bytes() == clean_path.read_bytes()
-        else:
-            with open_store(resumed_path, backend=backend) as a, \
-                    open_store(clean_path, backend=backend) as b:
-                assert [r.to_dict() for r in a.load()] == \
-                    [r.to_dict() for r in b.load()]
+        with open_store(resumed_path) as a, open_store(clean_path) as b:
+            assert [r.to_dict() for r in a.load()] == \
+                [r.to_dict() for r in b.load()]
         # projections converge to the same state on both stores
         for path in (clean_path, resumed_path):
-            with open_store(path, backend=backend) as store:
+            with open_store(path) as store:
                 assert verify_store_projections(store) == []
 
     def test_resume_skips_everything_on_a_complete_store(
         self, tmp_path, campaign_records
     ):
         cells, _ = campaign_records
-        path = tmp_path / "done.jsonl"
+        path = tmp_path / "done.sqlite"
         runner = CampaignRunner(store=str(path), snapshot_every=2)
         runner.run_cells(cells)
-        before = path.read_bytes()
+        before = _dump(path)
         again = CampaignRunner(store=str(path), resume=True)
         again.run_cells(cells)
         assert again.last_outcome.resumed == len(cells)
         assert again.last_outcome.executed == 0
-        assert path.read_bytes() == before
+        assert _dump(path) == before
 
     def test_resume_reexecutes_failed_cells(self, tmp_path, campaign_records):
         from repro.campaign import failure_record
@@ -340,7 +318,7 @@ class TestSnapshotsAndResume:
 
     def test_resume_rejects_duplicate_cells(self, tmp_path, campaign_records):
         cells, _ = campaign_records
-        with open_store(tmp_path / "dup.jsonl") as store:
+        with open_store(tmp_path / "dup.sqlite") as store:
             with pytest.raises(ValueError, match="duplicate cells"):
                 execute_with_store(
                     SerialBackend(), [cells[0], cells[0]],
@@ -356,15 +334,23 @@ class TestSnapshotsAndResume:
 
     def test_plain_path_stays_legacy_jsonl(self, tmp_path, campaign_records):
         # No durability flags -> a path resolves to the plain ResultsStore
-        # (no sidecar files appear next to default campaign output).
+        # (the results file is the only file the run leaves behind).
         cells, _ = campaign_records
         path = tmp_path / "legacy.jsonl"
         runner = CampaignRunner(store=str(path))
         assert isinstance(runner.store, ResultsStore)
         runner.run_cells(cells[:1])
-        assert not (tmp_path / "legacy.jsonl.nlog").exists()
-        # Asking for resume upgrades the same path to the event store.
-        upgraded = CampaignRunner(store=str(path), resume=True)
+        assert os.listdir(tmp_path) == ["legacy.jsonl"]
+        # Asking for resume or snapshots names the fix instead; only a
+        # SQLite path upgrades to the event store.
+        with pytest.raises(ValueError, match="store export"):
+            CampaignRunner(store=str(path), resume=True)
+        with pytest.raises(ValueError, match="store export"):
+            execute_with_store(SerialBackend(), cells,
+                               store=ResultsStore(path), snapshot_every=1)
+        assert os.listdir(tmp_path) == ["legacy.jsonl"]
+        upgraded = CampaignRunner(store=str(tmp_path / "s.sqlite"),
+                                  resume=True)
         assert isinstance(upgraded.store, CampaignStore)
 
     def test_default_snapshot_cadence_is_sane(self):
@@ -372,13 +358,13 @@ class TestSnapshotsAndResume:
 
 
 class TestProjections:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("suffix", SUFFIXES)
     def test_incremental_fold_consumes_only_the_tail(
-        self, tmp_path, backend, campaign_records
+        self, tmp_path, suffix, campaign_records
     ):
         _, records = campaign_records
-        path = tmp_path / f"proj.{_suffix(backend)}"
-        with open_store(path, backend=backend) as store:
+        path = tmp_path / f"proj.{suffix}"
+        with open_store(path) as store:
             store.append_records(records[:3])
             first = RecordSummaryProjection().load(store)
             assert first.apply(store) == 3
@@ -477,7 +463,7 @@ class TestProjections:
         self, tmp_path, campaign_records
     ):
         _, records = campaign_records
-        with open_store(tmp_path / "u.jsonl") as store:
+        with open_store(tmp_path / "u.sqlite") as store:
             store.append_records(records)
             folded = update_projections(store)
             assert set(folded) == {
@@ -489,9 +475,9 @@ class TestProjections:
                 n == 0 for n in update_projections(store).values()
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("suffix", SUFFIXES)
     def test_update_projections_with_one_watermark_behind(
-        self, tmp_path, backend, campaign_records
+        self, tmp_path, suffix, campaign_records
     ):
         # update_projections selects and decodes the log once for all
         # projections; per-projection apply must fold the same counts and
@@ -499,8 +485,7 @@ class TestProjections:
         _, records = campaign_records
 
         def staggered(name):
-            store = open_store(tmp_path / f"{name}.{_suffix(backend)}",
-                               backend=backend)
+            store = open_store(tmp_path / f"{name}.{suffix}")
             store.append_records(records[:1])
             update_projections(store)
             store.append_records(records[1:2])
@@ -524,9 +509,9 @@ class TestProjections:
 
 
 class TestStoreCli:
-    def _build_store(self, tmp_path, records, backend="sqlite"):
-        path = tmp_path / f"cli.{_suffix(backend)}"
-        with open_store(path, backend=backend) as store:
+    def _build_store(self, tmp_path, records):
+        path = tmp_path / "cli.sqlite"
+        with open_store(path) as store:
             store.append_records(records)
             update_projections(store)
         return path
@@ -563,14 +548,115 @@ class TestStoreCli:
         from repro.cli import main
 
         _, records = campaign_records
-        source = self._build_store(tmp_path, records, backend="jsonl")
+        source = ResultsStore(tmp_path / "results.jsonl")
+        source.write(records)
         dest = tmp_path / "converted.sqlite"
-        assert main(["store", "export", str(source), str(dest)]) == 0
+        assert main(["store", "export", str(source.path), str(dest)]) == 0
         with open_store(dest) as store:
             assert isinstance(store.recorder, SqliteRecorder)
             assert [r.to_dict() for r in store.load()] == \
                 [r.to_dict() for r in records]
             assert verify_store_projections(store) == []
+        assert main(["store", "verify", str(dest)]) == 0
+
+    @pytest.mark.parametrize("argv, named", [
+        (["store", "export", "a.sqlite", "b.sqlite"], "b.sqlite"),
+        (["store", "export", "a.sqlite", "a.sqlite"], "a.sqlite"),
+        (["store", "export", "a.sqlite", "b.jsonl"], "b.jsonl"),
+        (["store", "ingest", "new.sqlite", "missing.jsonl"], "missing.jsonl"),
+    ], ids=["into-exported-store", "into-itself", "into-results-file",
+            "ingest-missing-log"])
+    def test_export_and_ingest_write_nothing_on_refusal(
+        self, tmp_path, capsys, monkeypatch, campaign_records, argv, named
+    ):
+        from repro.cli import main
+
+        _, records = campaign_records
+        monkeypatch.chdir(tmp_path)
+        self._build_store(tmp_path, records).rename(tmp_path / "a.sqlite")
+        assert main(["store", "export", "a.sqlite", "b.sqlite"]) == 0
+        ResultsStore(tmp_path / "b.jsonl").write(records)
+        before = _files(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert _files(tmp_path) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["store", "inspect", "{results}"],
+        ["store", "verify", "{results}"],
+        ["store", "ingest", "{results}", "{events}"],
+        ["verify", "--store", "{results}"],
+    ], ids=["store-inspect", "store-verify", "store-ingest", "verify-store"])
+    def test_store_commands_refuse_a_results_file(
+        self, tmp_path, capsys, campaign_records, event_log, argv
+    ):
+        from repro.cli import main
+
+        _, records = campaign_records
+        results = ResultsStore(tmp_path / "r.jsonl")
+        results.write(records)
+        before = _files(tmp_path)
+        argv = [arg.format(results=results.path, events=event_log)
+                for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "store export" in err
+        assert _files(tmp_path) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "run", "smoke", "--resume"],
+        ["campaign", "run", "smoke", "--snapshot-every", "1"],
+        ["fleet", "run", "fleet-smoke", "--resume"],
+        ["fleet", "run", "fleet-smoke", "--snapshot-every", "1"],
+    ])
+    def test_durable_run_refuses_a_jsonl_out(self, tmp_path, capsys, argv):
+        from repro.cli import main
+
+        out = tmp_path / "out.jsonl"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and err.count("\n") == 1
+        assert "needs a SQLite store" in err and "store export" in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv, name", [
+        (["campaign", "run", "smoke"], "smoke"),
+        (["fleet", "run", "fleet-smoke"], "fleet-smoke"),
+    ])
+    def test_resume_without_out_writes_a_sqlite_store(
+        self, tmp_path, capsys, monkeypatch, argv, name
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--resume"]) == 0
+        assert f"appended to results/{name}.sqlite" in capsys.readouterr().out
+        assert not (tmp_path / "results" / f"{name}.jsonl").exists()
+        with open_store(tmp_path / "results" / f"{name}.sqlite") as store:
+            assert store.counts()["record"] > 0
+
+    @pytest.mark.parametrize("durable, plain", [
+        (["campaign", "run", "smoke", "--resume"],
+         ["campaign", "run", "smoke"]),
+        (["fleet", "run", "fleet-chaos", "--resume", "--jobs", "2"],
+         ["fleet", "run", "fleet-chaos"]),
+    ], ids=["campaign-smoke", "fleet-chaos"])
+    def test_sqlite_export_is_byte_identical_to_a_plain_run(
+        self, tmp_path, capsys, durable, plain
+    ):
+        from repro.cli import main
+
+        store = tmp_path / "durable.sqlite"
+        exported = tmp_path / "exported.jsonl"
+        plain_out = tmp_path / "plain.jsonl"
+        assert main([*durable, "--out", str(store)]) == 0
+        assert main(["store", "export", str(store), str(exported)]) == 0
+        assert "leaving out 0 event(s)" in capsys.readouterr().out
+        assert main([*plain, "--out", str(plain_out)]) == 0
+        assert exported.read_bytes() == plain_out.read_bytes()
 
     def test_ingest_events(self, tmp_path, capsys, event_log):
         from repro.cli import main
@@ -677,17 +763,6 @@ def _corrupt_summary_json(path):
     ))
 
 
-def _corrupt_sidecar_json(path):
-    path.with_name(path.name + ".proj.json").write_text("not json")
-
-
-def _corrupt_sidecar_entry(path):
-    sidecar = path.with_name(path.name + ".proj.json")
-    payload = json.loads(sidecar.read_text())
-    payload["projections"]["summary"] = 5
-    sidecar.write_text(json.dumps(payload))
-
-
 _COMMANDS = {
     "store-verify": ("store", "verify"),
     "verify-store": ("verify", "--store"),
@@ -697,20 +772,16 @@ _COMMANDS = {
 }
 
 _MALFORMED = [
-    pytest.param(backend, corrupt, named, command, id=f"{tag}-{command}")
-    for tag, backend, corrupt, named, commands in (
-        ("summary-shape", "sqlite", _corrupt_summary_shape, "'summary'",
+    pytest.param(corrupt, named, command, id=f"{tag}-{command}")
+    for tag, corrupt, named, commands in (
+        ("summary-shape", _corrupt_summary_shape, "'summary'",
          ("store-verify", "verify-store", "fleet-resume")),
-        ("rollup-without-overall", "sqlite", _corrupt_rollup_without_overall,
+        ("rollup-without-overall", _corrupt_rollup_without_overall,
          "'fleet-rollup'", ("store-verify", "verify-store", "fleet-resume")),
-        ("snapshot-shape", "sqlite", _corrupt_snapshot_shape, "'completed'",
+        ("snapshot-shape", _corrupt_snapshot_shape, "'completed'",
          ("store-verify", "verify-store", "store-inspect", "fleet-resume")),
-        ("summary-not-json", "sqlite", _corrupt_summary_json, "'summary'",
+        ("summary-not-json", _corrupt_summary_json, "'summary'",
          ("fleet-resume",)),
-        ("sidecar-not-json", "jsonl", _corrupt_sidecar_json, ".proj.json",
-         ("fleet-resume",)),
-        ("sidecar-entry-shape", "jsonl", _corrupt_sidecar_entry, "'summary'",
-         ("store-verify", "fleet-resume")),
     )
     for command in commands
 ]
@@ -719,14 +790,14 @@ _MALFORMED = [
 class TestMalformedStore:
     """Hand-edited store content is an operator error, never a traceback."""
 
-    @pytest.mark.parametrize("backend, corrupt, named, command", _MALFORMED)
+    @pytest.mark.parametrize("corrupt, named, command", _MALFORMED)
     def test_exits_2_naming_the_bad_part(
-        self, tmp_path, capsys, backend, corrupt, named, command
+        self, tmp_path, capsys, corrupt, named, command
     ):
         from repro.cli import main
 
-        path = tmp_path / f"fleet.{_suffix(backend)}"
-        with open_store(path, backend=backend) as store:
+        path = tmp_path / "fleet.sqlite"
+        with open_store(path) as store:
             Fleet(get_fleet_scenario("fleet-smoke")).run(
                 store=store, snapshot_every=1
             )

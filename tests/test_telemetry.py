@@ -678,6 +678,6 @@ class TestTelemetryCli:
         ]) == 0
         from repro.campaign import load_records
 
-        records = load_records(out)
+        records, _ = load_records(out)
         assert records and all(r.response_times_ms for r in records)
         assert all(r.response_digest for r in records)
