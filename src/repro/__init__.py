@@ -2,8 +2,10 @@
 
 A complete, simulation-based reproduction of *VersaSlot: Efficient
 Fine-grained FPGA Sharing with Big.Little Slots and Live Migration in FPGA
-Cluster* (DAC 2025).  See DESIGN.md for the system inventory and
-EXPERIMENTS.md for paper-vs-measured results.
+Cluster* (DAC 2025).  The README's "Layout" section maps the packages;
+``tests/test_paper_claims.py`` checks the paper's claims, and
+``PAPER_FIG5`` to ``PAPER_FIG8`` in :mod:`repro.experiments` hold its
+numbers.
 
 Public API tour::
 

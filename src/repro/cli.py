@@ -18,7 +18,6 @@ parallel backend, and replays persisted results:
     python -m repro campaign run smoke --events-dir results/events
     python -m repro telemetry summarize results/events/smoke-FCFS-seed1-seq0.jsonl
     python -m repro verify --fuzz 50 --seed 0
-    python -m repro bench --quick --baseline BENCH_kernel.json
     python -m repro list
 """
 
@@ -30,7 +29,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .bench import add_bench_arguments, run_bench_command
 from .campaign import (
     CampaignRunner,
     ResultsStore,
@@ -251,13 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_verify_arguments(verify)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the kernel/scheduler micro-benchmarks and update the "
-             "BENCH_kernel.json throughput trajectory",
-    )
-    add_bench_arguments(bench)
-
     replay = sub.add_parser("replay", help="re-render results from persisted records")
     replay.add_argument(
         "path", help="records file (JSONL or SQLite store) written by --out"
@@ -279,11 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _operator_error(exc: Exception) -> int:
     """Print a clean one-line message for a user-input error (exit 2).
 
-    Reserved for lookup/load failures (unknown scenario, missing or
-    malformed records file, malformed store content) — simulation errors
-    propagate with their traceback so internal bugs stay debuggable.
+    Reserved for lookup/load failures (unknown scenario, a path that
+    cannot be read or written, malformed records file or store content) —
+    simulation errors propagate with their traceback so internal bugs stay
+    debuggable.
     """
-    if isinstance(exc, FileNotFoundError):
+    if isinstance(exc, OSError):
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
     else:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
@@ -474,7 +466,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         return 0
     try:
         summary = summarize_event_log(args.path)
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         return _operator_error(exc)
     if args.json:
         print(json.dumps(summary, indent=1, sort_keys=True))
@@ -577,7 +569,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                     f"skipped while loading {args.path}"
                 )
         return 3 if skipped else 0
-    except (KeyError, ValueError, FileNotFoundError) as exc:
+    except (KeyError, ValueError) as exc:
         return _operator_error(exc)
 
 
@@ -651,7 +643,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             total = sum(len(events) for _, events in logs)
             print(f"ingested {total} event(s) into {args.path}")
             return 0
-    except (KeyError, ValueError, FileNotFoundError) as exc:
+    except (KeyError, ValueError) as exc:
         return _operator_error(exc)
     return 2  # pragma: no cover - argparse enforces the choices
 
@@ -712,7 +704,15 @@ def _export_store(source: str, dest: str) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _dispatch(args)
+    try:
+        return _dispatch(args)
+    except OSError as exc:
+        # A path the operator gave is missing, or is a directory where a
+        # file belongs (or the reverse): every command reports it the same
+        # way.  An OSError naming no path is not an input error.
+        if exc.filename is None:
+            raise
+        return _operator_error(exc)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -734,8 +734,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_telemetry(args)
     if args.command == "verify":
         return run_verify_command(args)
-    if args.command == "bench":
-        return run_bench_command(args)
     if args.command == "replay":
         return _cmd_replay(args)
     if args.command == "fig5":
@@ -758,11 +756,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         result = run_fig8(
             seed=args.seed, n_apps=args.apps, jobs=args.jobs, store=args.out,
         )
-        print(trace_plot(
-            [s.value for s in result.samples],
-            title="D_switch trajectory",
-            thresholds={"T1": 0.1, "T2": 0.0125},
-        ))
+        if result.samples:
+            print(trace_plot(
+                [s.value for s in result.samples],
+                title="D_switch trajectory",
+                thresholds={"T1": 0.1, "T2": 0.0125},
+            ))
+        else:
+            # D_switch is sampled as apps complete on the cluster; a
+            # one-app ramp never takes a sample.
+            print("D_switch trajectory: no samples")
         print()
         print(bar_chart(
             result.reductions,

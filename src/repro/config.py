@@ -3,7 +3,7 @@
 Every constant that maps a hardware quantity (bitstream size, PCAP
 bandwidth, link speed) onto simulated milliseconds lives here, so an
 experiment can be re-parameterized without touching model code.  Defaults
-follow the ZCU216 / ZynqMP numbers cited in DESIGN.md.
+follow ZCU216 / ZynqMP numbers.
 """
 
 from __future__ import annotations

@@ -41,8 +41,8 @@ def allocate_big_little(
     """Run one Algorithm-1 allocation pass over ``sched``.
 
     ``rebinding`` and ``redistribution`` disable lines 4–6 and 14–18
-    respectively — the two design choices DESIGN.md marks as ablation
-    targets (load balancing toward Big slots, and leftover-slot spreading).
+    respectively, for ablating the two design choices they implement (load
+    balancing toward Big slots, and leftover-slot spreading).
     """
     big_total = sched.big_total
     little_total = sched.little_total

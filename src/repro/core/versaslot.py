@@ -49,7 +49,7 @@ class VersaSlotBigLittle(OnBoardScheduler):
     """VersaSlot on a Big.Little board: Algorithm 1 + 2 with bundling.
 
     ``rebinding`` / ``redistribution`` expose Algorithm 1's two optional
-    phases for ablation (DESIGN.md); both default on, as in the paper.
+    phases for ablation; both default on, as in the paper.
     """
 
     __slots__ = ("rebinding", "redistribution", "_opt_big_cb", "_opt_little_cb")

@@ -9,8 +9,8 @@ an average switching overhead of ~1.13 ms.
 
 The paper drives this with three 80-application workloads at standard
 intervals on real hardware; on the simulator the same PR-contention level
-is reached with a denser long-run interval (see EXPERIMENTS.md), which is
-exposed as a parameter.
+is reached with a denser long-run interval, exposed as the
+``interval_range`` parameter.
 """
 
 from __future__ import annotations

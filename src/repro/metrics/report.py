@@ -1,10 +1,10 @@
 """ASCII reporting helpers for experiment tables and figure series.
 
-Every experiment prints its results through these helpers, so the bench
-output lines up visually with the paper's tables/figures and EXPERIMENTS.md
-can quote them directly.  :func:`summarize_records` renders persisted
-campaign records (``results/*.jsonl``), so ``python -m repro replay``
-re-reports a run without re-simulating.
+Every experiment prints its results through these helpers, so the figure
+commands' output lines up visually with the paper's tables and figures.
+:func:`summarize_records` renders persisted campaign records
+(``results/*.jsonl``), so ``python -m repro replay`` re-reports a run
+without re-simulating.
 """
 
 from __future__ import annotations

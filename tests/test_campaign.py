@@ -476,6 +476,53 @@ class TestCampaignCLI:
             capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["replay", "DIR"],
+        ["telemetry", "summarize", "DIR"],
+        ["campaign", "replay", "DIR"],
+        ["store", "ingest", "new.sqlite", "DIR"],
+        ["store", "export", "DIR", "x.sqlite"],
+        ["campaign", "run", "smoke", "--out", "DIR"],
+        ["fig5", "--sequences", "1", "--apps", "2", "--out", "DIR"],
+        ["campaign", "run", "smoke", "--events-dir", "FILE"],
+        ["campaign", "run", "smoke", "--events-dir", "FILE", "--jobs", "2"],
+    ], ids="_".join)
+    def test_path_of_the_wrong_kind_is_an_operator_error(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        """A directory where a file belongs, or a file where a directory
+        belongs: exit 2 with one line naming the path, and no change on
+        disk."""
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "DIR").mkdir()
+        (tmp_path / "FILE").write_text("not a directory\n")
+
+        def tree():
+            return {
+                str(path.relative_to(tmp_path)):
+                    path.read_bytes() if path.is_file() else None
+                for path in tmp_path.rglob("*")
+            }
+
+        before = tree()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        name = "DIR" if "DIR" in argv else "FILE"
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.rstrip().endswith(f": {name}")
+        assert tree() == before
+
+    def test_fig8_with_one_app_has_no_dswitch_samples(self, capsys):
+        from repro.cli import main
+
+        assert main(["fig8", "--apps", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "D_switch trajectory: no samples" in out
+        assert "Response reduction vs Only.Little" in out
+        assert "mean switching overhead" in out
+
     def test_list_systems(self, capsys):
         from repro.cli import main
 

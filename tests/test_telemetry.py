@@ -12,10 +12,13 @@ Covers the PR-5 acceptance surface:
 * the fingerprint sink reproducing the oracle's bespoke plumbing;
 * crash-safe results persistence (atomic write, fsynced appends,
   truncated-trailing-line recovery);
-* the ``--json`` CLI surfaces.
+* the ``--json`` CLI surfaces;
+* the overhead gate script's workload and exit code.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -681,3 +684,35 @@ class TestTelemetryCli:
         records, _ = load_records(out)
         assert records and all(r.response_times_ms for r in records)
         assert all(r.response_digest for r in records)
+
+
+# ----------------------------------------------------------------------
+# Overhead gate (scripts/telemetry_gate.py)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def telemetry_gate():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "telemetry_gate.py"
+    spec = importlib.util.spec_from_file_location("telemetry_gate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTelemetryGate:
+    def test_one_pair_completes_the_app_on_both_sides(self, telemetry_gate):
+        detached = telemetry_gate.run_single_app(None)
+        bus = telemetry_gate.production_bus()
+        enabled = telemetry_gate.run_single_app(bus)
+        assert detached.completions == enabled.completions == 1
+        (sink,) = bus.sinks
+        assert isinstance(sink, StreamingAggregationSink)
+        assert sink.digest.count == 1
+
+    @pytest.mark.parametrize("overhead, code", [(0.0, 0), (0.05, 0), (0.0501, 1)])
+    def test_exit_code_follows_the_bound(self, telemetry_gate, monkeypatch,
+                                         capsys, overhead, code):
+        monkeypatch.setattr(telemetry_gate, "measure_overhead", lambda: overhead)
+        assert telemetry_gate.main() == code
+        captured = capsys.readouterr()
+        assert ("within gate" in captured.out) == (code == 0)
+        assert ("allowed: 5.0%" in captured.err) == (code == 1)
