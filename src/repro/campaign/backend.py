@@ -1,12 +1,12 @@
 """Campaign execution backends: the simulation core, serial and parallel.
 
 :func:`simulate_run` is the single place a (system, arrivals) pair is
-turned into a finished simulation — ``experiments.runner.run_sequence``
-and both campaign backends are thin wrappers over it.  Each campaign
-*cell* carries everything a worker needs (workload spec, seed, resolved
-parameters), so the parallel backend ships only small picklable specs to
-worker processes and each worker rebuilds its own engine, RNG streams
-and application-instance-id counter — no cross-run global state.
+turned into a finished simulation; both campaign backends are thin
+wrappers over it.  Each campaign *cell* carries everything a worker
+needs (workload spec, seed, resolved parameters), so the parallel
+backend ships only small picklable specs to worker processes and each
+worker rebuilds its own engine, RNG streams and application-instance-id
+counter — no cross-run global state.
 
 The serial backend is the reference for determinism tests: for the same
 cells, :class:`ProcessBackend` must return bit-identical records.

@@ -159,8 +159,8 @@ class RunRecord:
         carry raw samples it is bit-identical to a digest built from
         them — both fold the same completion stream); raw-only records
         build one on the fly.  Callers needing *exact* percentiles should
-        branch on ``response_times_ms`` themselves, as
-        ``record_to_run_result`` does.
+        branch on ``response_times_ms`` themselves, as the figure fold
+        (:class:`~repro.store.projections.FigureProjection`) does.
         """
         digest = self.digest()
         if digest is not None:
@@ -333,40 +333,6 @@ def load_records(path: Union[str, Path]) -> Tuple[List[RunRecord], int]:
             return store.load(), 0
     store = ResultsStore(path)
     return store.load(), store.skipped_lines
-
-
-def merged_response_summary(records: Iterable[RunRecord]):
-    """Pooled response summary of many records.
-
-    When *every* record carries raw samples the pool is an exact
-    :class:`~repro.metrics.response.ResponseStats`; otherwise the shards'
-    digests merge into one :class:`ResponseDigest` — O(1) memory instead
-    of concatenating per-request lists.  Both expose the same ``count`` /
-    ``mean()`` / ``percentile()`` surface.
-    """
-    records = list(records)
-    # A record is "raw-carrying" when it has samples — or nothing at all
-    # (a shard that completed zero requests constrains neither mode).
-    # Only a digest-without-samples record forces the digest path, so
-    # --raw-samples runs stay exact even when one shard came up empty.
-    if records and all(
-        r.response_times_ms or not r.response_digest for r in records
-    ):
-        from ..metrics.response import ResponseStats  # lazy: avoids a cycle
-
-        pooled = ResponseStats()
-        for record in records:
-            pooled.extend(record.response_times_ms)
-        return pooled
-    merged = ResponseDigest()
-    for record in records:
-        if record.response_times_ms:
-            merged.extend(record.response_times_ms)
-        else:
-            digest = record.digest()
-            if digest is not None:
-                merged.merge(digest)
-    return merged
 
 
 def group_by_system(records: Iterable[RunRecord]) -> Dict[str, List[RunRecord]]:

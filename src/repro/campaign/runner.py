@@ -60,12 +60,9 @@ class CampaignRunner:
         self.events_dir = Path(events_dir) if events_dir is not None else None
 
     def cells_for(self, scenario: Scenario) -> List[CampaignCell]:
-        """Enumerate a scenario into cells, sequence-major then system.
-
-        The ordering mirrors the historical ``run_matrix`` loop (sequences
-        outer, systems inner) so serial campaigns visit simulations in the
-        same order the old harness did.
-        """
+        """Enumerate a scenario into cells: seeds, then sequences, then
+        systems innermost, so a serial campaign visits each sequence's
+        systems back to back."""
         params = scenario.parameters(self.base_params)
         cells: List[CampaignCell] = []
         for seed in scenario.seeds:

@@ -155,9 +155,6 @@ class FaultSchedule:
         return f"FaultSchedule({', '.join(f.describe() for f in self.faults)})"
 
     # ------------------------------------------------------------------
-    def shards_touched(self) -> Tuple[int, ...]:
-        return tuple(sorted({fault.shard for fault in self.faults}))
-
     def recover_times(self) -> Dict[int, List[float]]:
         """Per-shard recoverable-at times, ascending (supervisor input)."""
         out: Dict[int, List[float]] = {}

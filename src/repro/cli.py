@@ -11,12 +11,12 @@ parallel backend, and replays persisted results:
     python -m repro fig8 --apps 80 --seed 2 --jobs 2
     python -m repro campaign list
     python -m repro campaign run fig5-standard --jobs 4
-    python -m repro campaign replay results/repros/repro-smoke-3.json
     python -m repro fleet list
     python -m repro fleet run fleet-diurnal --shards 4 --jobs 4
     python -m repro replay results/fig5.jsonl --figure fig5
     python -m repro campaign run smoke --events-dir results/events
-    python -m repro telemetry summarize results/events/smoke-FCFS-seed1-seq0.jsonl
+    python -m repro replay results/events/smoke-FCFS-seed1-seq0.jsonl
+    python -m repro replay results/repros/repro-smoke-3.json
     python -m repro verify --fuzz 50 --seed 0
     python -m repro list
 """
@@ -140,24 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "a replayable JSONL log under DIR")
     add_parallel_options(run)
     add_campaign_options(run)
-    campaign_replay = campaign_sub.add_parser(
-        "replay",
-        help="replay persisted results or a fuzzer repro file",
-    )
-    campaign_replay.add_argument(
-        "path",
-        help="JSONL records file, SQLite event store, or a verify-repro "
-             "JSON file",
-    )
-    campaign_replay.add_argument(
-        "--figure", choices=("summary", "fig5", "fig6"), default="summary",
-        help="rendering for records files (ignored for repro files)",
-    )
-    campaign_replay.add_argument(
-        "--json", action="store_true",
-        help="machine-readable JSON (records/skipped-line counts included) "
-             "instead of a table",
-    )
 
     fleet = sub.add_parser(
         "fleet", help="run sharded multi-cluster fleet scenarios"
@@ -226,16 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     telemetry = sub.add_parser(
         "telemetry",
-        help="inspect and replay typed telemetry event logs",
+        help="describe the typed telemetry events (replay a log with "
+             "`replay`)",
     )
     telemetry_sub = telemetry.add_subparsers(dest="telemetry_command", required=True)
-    summarize = telemetry_sub.add_parser(
-        "summarize",
-        help="re-derive response statistics and counters from an event log",
-    )
-    summarize.add_argument("path", help="JSONL event log written by --events-dir")
-    summarize.add_argument("--json", action="store_true",
-                           help="machine-readable JSON instead of a table")
     schema = telemetry_sub.add_parser(
         "schema", help="list the typed event kinds and their fields"
     )
@@ -249,13 +225,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_verify_arguments(verify)
 
-    replay = sub.add_parser("replay", help="re-render results from persisted records")
+    replay = sub.add_parser(
+        "replay",
+        help="re-render persisted records, or replay a telemetry event log "
+             "or a fuzzer repro file",
+    )
     replay.add_argument(
-        "path", help="records file (JSONL or SQLite store) written by --out"
+        "path",
+        help="records file (JSONL or SQLite store) written by --out, event "
+             "log written by --events-dir, or verify-repro JSON file",
     )
     replay.add_argument(
         "--figure", choices=("summary", "fig5", "fig6"), default="summary",
-        help="rendering: raw summary table or a figure recomputation",
+        help="rendering for records files: summary table or a figure "
+             "recomputation",
     )
     replay.add_argument(
         "--json", action="store_true",
@@ -312,8 +295,6 @@ def _campaign_store(scenario_name: str, args: argparse.Namespace):
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    if args.campaign_command == "replay":
-        return _cmd_replay(args)
     if args.campaign_command == "list":
         if args.json:
             entries = []
@@ -451,24 +432,24 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
-    if args.telemetry_command == "schema":
-        if args.json:
-            print(json.dumps(
-                {kind: list(cls._fields) for kind, cls in EVENT_TYPES.items()},
-                indent=1,
-            ))
-            return 0
-        print(format_table(
-            ["kind", "fields"],
-            [[kind, ", ".join(cls._fields)] for kind, cls in EVENT_TYPES.items()],
-            title="Telemetry event schema (every event also carries `t`, ms)",
+    if args.json:
+        print(json.dumps(
+            {kind: list(cls._fields) for kind, cls in EVENT_TYPES.items()},
+            indent=1,
         ))
         return 0
-    try:
-        summary = summarize_event_log(args.path)
-    except ValueError as exc:
-        return _operator_error(exc)
-    if args.json:
+    print(format_table(
+        ["kind", "fields"],
+        [[kind, ", ".join(cls._fields)] for kind, cls in EVENT_TYPES.items()],
+        title="Telemetry event schema (every event also carries `t`, ms)",
+    ))
+    return 0
+
+
+def _replay_event_log(path: str, as_json: bool) -> int:
+    """Re-derive counters and the response digest from one event log."""
+    summary = summarize_event_log(path)
+    if as_json:
         print(json.dumps(summary, indent=1, sort_keys=True))
         return 0
     meta = summary.get("meta") or {}
@@ -478,7 +459,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     print(format_table(
         ["counter", "value"],
         [[name, value] for name, value in counters.items()],
-        title=f"Telemetry counters — {args.path}",
+        title=f"Telemetry counters — {path}",
     ))
     response = summary.get("response")
     if response:
@@ -497,11 +478,13 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     # A fuzzer-found repro replays as a fresh oracle comparison — the
     # one-command reproduction of a persisted kernel divergence.  All
-    # other inputs are RunRecord files and replay without simulating, so
-    # their failures are input problems (missing/malformed file, records
-    # that don't form the figure).  Exit codes: 0 clean, 1 empty/failed
-    # replay, 2 operator error, 3 rendered but with dropped line(s).
-    as_json = bool(getattr(args, "json", False))
+    # other inputs are RunRecord files or telemetry event logs and replay
+    # without simulating, so their failures are input problems
+    # (missing/malformed file, records that don't form the figure).  Exit
+    # codes: 0 clean, 1 empty/failed replay, 2 operator error, 3 rendered
+    # but with dropped line(s).
+    as_json = args.json
+    figure = args.figure
     try:
         from .store import is_sqlite_path
 
@@ -515,7 +498,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             if sniff_event_log(args.path):
                 # A telemetry event log: re-derive the report from the
                 # typed event stream alone (no records, no simulation).
-                if getattr(args, "figure", "summary") != "summary":
+                if figure != "summary":
                     print(
                         f"error: {args.path} is a telemetry event log (one "
                         "run's stream); --figure needs a multi-run records "
@@ -524,13 +507,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                         file=sys.stderr,
                     )
                     return 2
-                telemetry_args = argparse.Namespace(
-                    telemetry_command="summarize", path=args.path,
-                    json=as_json,
-                )
-                return _cmd_telemetry(telemetry_args)
+                return _replay_event_log(args.path, as_json)
         records, skipped = load_records(args.path)
-        figure = getattr(args, "figure", "summary")
         payload = {
             "path": str(args.path),
             "figure": figure,

@@ -86,7 +86,3 @@ class DSwitchCalculator:
         )
         self.samples.append(sample)
         return sample
-
-    @property
-    def latest(self) -> Optional[DSwitchSample]:
-        return self.samples[-1] if self.samples else None

@@ -1,21 +1,13 @@
 """Experiment modules regenerating every table/figure of the paper."""
 
-from .fig5 import (
-    CONDITIONS,
-    Fig5Result,
-    PAPER_FIG5,
-    reductions_from_records,
-    run_fig5,
-)
+from .fig5 import CONDITIONS, Fig5Result, PAPER_FIG5, run_fig5
 from .fig6 import Fig6Result, PAPER_FIG6, TAIL_CONDITIONS, fig6_from_records, run_fig6
 from .fig7 import Fig7Result, PAPER_FIG7, PAPER_IC_DETAIL, run_fig7, run_fig7_dynamic
 from .fig8 import Fig8Result, PAPER_FIG8, PAPER_SWITCH_OVERHEAD_MS, long_workload, run_cluster, run_fig8
-from .runner import RunResult, SYSTEMS, record_to_run_result, run_matrix, run_sequence
+from .runner import SYSTEMS
 
 __all__ = [
     "fig6_from_records",
-    "record_to_run_result",
-    "reductions_from_records",
     "CONDITIONS",
     "Fig5Result",
     "Fig6Result",
@@ -27,7 +19,6 @@ __all__ = [
     "PAPER_FIG8",
     "PAPER_IC_DETAIL",
     "PAPER_SWITCH_OVERHEAD_MS",
-    "RunResult",
     "SYSTEMS",
     "TAIL_CONDITIONS",
     "long_workload",
@@ -37,6 +28,4 @@ __all__ = [
     "run_fig6",
     "run_fig7",
     "run_fig8",
-    "run_matrix",
-    "run_sequence",
 ]

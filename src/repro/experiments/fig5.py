@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from ..campaign import CampaignRunner, ResultsStore, RunRecord, Scenario, group_by_system
+from ..campaign import CampaignRunner, ResultsStore, RunRecord, Scenario
 from ..config import SystemParameters
 from ..metrics.report import format_table
 from ..workloads.generator import Condition, WorkloadSpec
-from .runner import RunResult, SYSTEMS, record_to_run_result
+from .runner import SYSTEMS
 
 #: The paper's Fig. 5 values (reduction vs baseline, higher is better).
 PAPER_FIG5: Dict[str, Dict[str, float]] = {
@@ -42,87 +42,34 @@ CONDITIONS: Sequence[Condition] = (
 )
 
 
-def reductions_from_records(
-    records: Iterable[RunRecord],
-    baseline: str = "Baseline",
-) -> Dict[str, float]:
-    """Fig. 5 metric over one condition's records: mean over sequences of
-    (baseline mean response / system mean response)."""
-    grouped = group_by_system(records)
-    if baseline not in grouped:
-        raise KeyError(
-            f"no {baseline!r} records to normalize against; have: "
-            f"{', '.join(grouped) or 'none'}"
-        )
-    # Refuse to silently average incompatible runs — e.g. a results file
-    # that accumulated appends from differently-parameterized campaigns.
-    fingerprints = {r.fingerprint for runs in grouped.values() for r in runs}
-    if len(fingerprints) > 1:
-        raise ValueError(
-            f"records mix {len(fingerprints)} parameter fingerprints "
-            f"({', '.join(sorted(fingerprints))}); refusing to aggregate "
-            "(was the results file appended to by incompatible campaigns?)"
-        )
-    for system, runs in grouped.items():
-        keys = [(r.seed, r.sequence_index) for r in runs]
-        if len(set(keys)) != len(keys):
-            raise ValueError(
-                f"{system} has duplicate (seed, sequence) cells; pairing "
-                "would be ambiguous — aggregate one campaign at a time"
-            )
-    baseline_runs = grouped[baseline]
-    reductions: Dict[str, float] = {}
-    for system, runs in grouped.items():
-        if len(runs) != len(baseline_runs):
-            raise ValueError(
-                f"{system} has {len(runs)} records but {baseline} has "
-                f"{len(baseline_runs)}; cannot pair sequences"
-            )
-        ratios = []
-        for base, run in zip(baseline_runs, runs):
-            # Refuse to silently average incompatible runs — e.g. a results
-            # file that accumulated appends from differently-parameterized
-            # campaigns.  A pair is comparable iff it simulated the same
-            # workload cell under the same configuration.
-            mismatched = [
-                field
-                for field in ("seed", "sequence_index", "n_apps", "fingerprint")
-                if getattr(base, field) != getattr(run, field)
-            ]
-            if mismatched:
-                raise ValueError(
-                    f"cannot pair {system} with {baseline}: records disagree "
-                    f"on {', '.join(mismatched)} (was the results file "
-                    "appended to by incompatible campaigns?)"
-                )
-            ratios.append(base.mean_response_ms() / run.mean_response_ms())
-        reductions[system] = sum(ratios) / len(ratios)
-    return reductions
-
-
 @dataclass
 class Fig5Result:
-    """Reductions per condition per system, plus the raw runs/records."""
+    """Reductions per condition per system, plus the records behind them."""
 
     reductions: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    runs: Dict[str, Dict[str, List[RunResult]]] = field(default_factory=dict)
     records: List[RunRecord] = field(default_factory=list)
 
     @classmethod
     def from_records(cls, records: Iterable[RunRecord]) -> "Fig5Result":
-        """Rebuild the figure from persisted records (no simulation)."""
-        result = cls()
+        """Rebuild the figure from persisted records (no simulation).
+
+        The reductions are the figure fold
+        (:class:`~repro.store.projections.FigureProjection`) over the
+        records; ``records`` keeps them grouped by condition in
+        first-appearance order.
+        """
+        # Lazy: a storeless figure run imports no store module up front.
+        from ..store.projections import FigureProjection
+
+        projection = FigureProjection()
         by_condition: Dict[str, List[RunRecord]] = {}
         for record in records:
+            projection.fold_record(record)
             by_condition.setdefault(record.condition, []).append(record)
-        for label, condition_records in by_condition.items():
-            result.records.extend(condition_records)
-            result.runs[label] = {
-                system: [record_to_run_result(r) for r in runs]
-                for system, runs in group_by_system(condition_records).items()
-            }
-            result.reductions[label] = reductions_from_records(condition_records)
-        return result
+        return cls(
+            reductions=projection.render_fig5(),
+            records=[r for group in by_condition.values() for r in group],
+        )
 
     def table(self) -> str:
         order = [c.label for c in CONDITIONS]

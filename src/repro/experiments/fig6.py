@@ -70,7 +70,7 @@ def run_fig6(
     jobs: int = 1,
     store: Optional[Union[ResultsStore, str]] = None,
 ) -> Fig6Result:
-    """Regenerate Fig. 6; reuses Fig. 5's runs (or records) when provided."""
+    """Regenerate Fig. 6; reuses Fig. 5's records when provided."""
     if fig5_result is None:
         fig5_result = run_fig5(
             seed=seed,
@@ -82,28 +82,22 @@ def run_fig6(
             jobs=jobs,
             store=store,
         )
-    result = Fig6Result()
-    for condition in TAIL_CONDITIONS:
-        label = condition.label
-        if label not in fig5_result.runs:
-            continue
-        matrix = fig5_result.runs[label]
-        baseline_runs = matrix["Baseline"]
-        for q, tag in ((95.0, "95"), (99.0, "99")):
-            column: Dict[str, float] = {}
-            for system, runs in matrix.items():
-                ratios = [
-                    run.responses.percentile(q) / base.responses.percentile(q)
-                    for base, run in zip(baseline_runs, runs)
-                ]
-                column[system] = sum(ratios) / len(ratios)
-            result.relative_tails[f"{label}-{tag}"] = column
-    return result
+    return fig6_from_records(fig5_result.records)
 
 
 def fig6_from_records(records) -> Fig6Result:
-    """Replay Fig. 6 from persisted campaign records (no simulation)."""
-    return run_fig6(fig5_result=Fig5Result.from_records(records))
+    """Fig. 6 from campaign records (no simulation): the figure fold
+    (:class:`~repro.store.projections.FigureProjection`) over them.
+
+    Raises ``ValueError`` when no record is of a tail condition.
+    """
+    # Lazy: a storeless figure run imports no store module up front.
+    from ..store.projections import FigureProjection
+
+    projection = FigureProjection()
+    for record in records:
+        projection.fold_record(record)
+    return Fig6Result(relative_tails=projection.render_fig6())
 
 
 def main() -> None:  # pragma: no cover - CLI entry

@@ -32,7 +32,7 @@ from ..metrics.report import format_series, sparkline
 from ..metrics.response import ResponseStats
 from ..sim import DEFAULT_ENGINE
 from ..workloads.generator import Arrival, Condition, drive
-from .runner import RUN_HORIZON_MS, record_to_run_result
+from .runner import RUN_HORIZON_MS
 
 #: Paper right-panel values (reduction vs Only.Little, higher is better).
 PAPER_FIG8: Dict[str, float] = {"Switching": 2.98, "Only Big.Little": 6.65}
@@ -169,15 +169,12 @@ def run_fig8(
         )
         for system in ("VersaSlot-OL", "VersaSlot-BL")
     ]
-    records = runner.run_cells(cells)
-    only_little = record_to_run_result(records[0]).responses
-    only_big = record_to_run_result(records[1]).responses
-
-    base = only_little.mean()
+    only_little, only_big = runner.run_cells(cells)
+    base = only_little.mean_response_ms()
     result.reductions = {
         "Only.Little": 1.0,
         "Switching": base / switching.mean(),
-        "Only Big.Little": base / only_big.mean(),
+        "Only Big.Little": base / only_big.mean_response_ms(),
     }
     return result
 

@@ -1,32 +1,20 @@
-"""Shared experiment harness: thin wrappers over the campaign layer.
+"""Shared experiment constants: the system view and the run horizon.
 
-Historically this module owned the hardcoded ``SYSTEMS`` dict and the
-serial simulation loop; both now live in :mod:`repro.campaign`.
-:data:`SYSTEMS` is a live read-only view of the campaign system registry
-(kept for the figure modules, benches and downstream users), and
-:func:`run_sequence` / :func:`run_matrix` delegate to
-:func:`repro.campaign.simulate_run` and the execution backends.
+Simulation itself lives in :mod:`repro.campaign`
+(:func:`~repro.campaign.simulate_run` for one run, the campaign runner
+and backends for many), and every figure computes from the resulting
+:class:`~repro.campaign.RunRecord` objects.  :data:`SYSTEMS` is a live
+read-only view of the campaign system registry.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Tuple
 
-from ..campaign.backend import (
-    DEFAULT_HORIZON_MS,
-    CampaignCell,
-    make_backend,
-    simulate_run,
-)
-from ..campaign.results import RunRecord
+from ..campaign.backend import DEFAULT_HORIZON_MS
 from ..campaign.scenario import SYSTEM_REGISTRY, get_system
-from ..config import DEFAULT_PARAMETERS, SystemParameters
 from ..fpga.slots import BoardConfig
-from ..metrics.response import ResponseStats
-from ..schedulers.base import SchedulerStats
-from ..workloads.generator import Arrival
 
 #: Safety horizon: every sequence must drain well before this (ms).
 RUN_HORIZON_MS = DEFAULT_HORIZON_MS
@@ -57,134 +45,3 @@ class _SystemsView(Mapping):
 
 #: Evaluated systems in the paper's legend order (live registry view).
 SYSTEMS: Mapping = _SystemsView()
-
-
-@dataclass
-class RunResult:
-    """Outcome of one (system, sequence) simulation.
-
-    ``responses`` is either an exact :class:`ResponseStats` (live runs and
-    raw-sample records) or a bounded-error
-    :class:`~repro.telemetry.digest.ResponseDigest` (digest-only records);
-    both expose ``count`` / ``mean()`` / ``percentile()`` / ``p95()`` /
-    ``p99()``, so the figure pipelines are representation-agnostic.
-    """
-
-    system: str
-    responses: object
-    stats: SchedulerStats
-    makespan_ms: float
-
-
-def record_to_run_result(record: RunRecord) -> RunResult:
-    """Rebuild a :class:`RunResult` from a persisted campaign record.
-
-    The reconstructed ``stats`` carries the persisted counters; the
-    per-application ``responses`` list inside it is not recoverable from a
-    record and stays empty (use ``result.responses`` for the summary).
-    """
-    if record.response_times_ms:
-        responses: object = ResponseStats()
-        responses.extend(record.response_times_ms)  # type: ignore[attr-defined]
-    else:
-        responses = record.response_summary()
-    stats = SchedulerStats()
-    for name, value in record.counters.items():
-        if hasattr(stats, name):
-            setattr(stats, name, value)
-    return RunResult(
-        system=record.system,
-        responses=responses,
-        stats=stats,
-        makespan_ms=record.makespan_ms,
-    )
-
-
-def run_sequence(
-    system: str,
-    arrivals: Sequence[Arrival],
-    params: Optional[SystemParameters] = None,
-    digest_only: bool = False,
-) -> RunResult:
-    """Simulate ``system`` serving ``arrivals`` on a fresh board.
-
-    ``digest_only`` runs the production campaign-cell telemetry config —
-    a completion-only streaming sink building the response digest online,
-    no retained per-request records — so memory is O(1) in the number of
-    requests and ``responses`` is a bounded-error digest.  The default
-    keeps exact per-sample :class:`ResponseStats` (the goldens and the
-    round-trip tests pin that representation).
-    """
-    if digest_only:
-        from ..telemetry import StreamingAggregationSink, TelemetryBus
-
-        def configure_retention(engine, board, scheduler) -> None:
-            scheduler.stats.retain_responses = False
-
-        bus = TelemetryBus()
-        sink = StreamingAggregationSink(kinds=("completion",))
-        bus.attach(sink)
-        try:
-            outcome = simulate_run(
-                system,
-                arrivals,
-                params,
-                instruments=(configure_retention,),
-                telemetry=bus,
-            )
-        finally:
-            bus.close()
-        return RunResult(
-            system=system,
-            responses=sink.digest,
-            stats=outcome.stats,
-            makespan_ms=outcome.makespan_ms,
-        )
-    outcome = simulate_run(system, arrivals, params)
-    responses = ResponseStats()
-    responses.extend(outcome.stats.response_times_ms())
-    return RunResult(
-        system=system,
-        responses=responses,
-        stats=outcome.stats,
-        makespan_ms=outcome.makespan_ms,
-    )
-
-
-def run_matrix(
-    sequences: Sequence[Sequence[Arrival]],
-    systems: Optional[Sequence[str]] = None,
-    params: Optional[SystemParameters] = None,
-    jobs: int = 1,
-) -> Dict[str, List[RunResult]]:
-    """Run every system over every sequence; keyed by system name.
-
-    With ``jobs > 1`` the (system × sequence) cells fan out over worker
-    processes; the aggregate is bit-identical to the serial path.
-    """
-    chosen = list(systems) if systems else list(SYSTEMS)
-    results: Dict[str, List[RunResult]] = {name: [] for name in chosen}
-    if jobs <= 1:
-        for arrivals in sequences:
-            for name in chosen:
-                results[name].append(run_sequence(name, arrivals, params))
-        return results
-    resolved = params if params is not None else DEFAULT_PARAMETERS
-    cells = [
-        CampaignCell(
-            scenario="run-matrix",
-            system=name,
-            sequence_index=index,
-            seed=0,
-            params=resolved,
-            arrivals=tuple(arrivals),
-            # run_matrix returns per-sample RunResults, matching the
-            # serial path bit for bit — so workers keep raw samples.
-            keep_raw_samples=True,
-        )
-        for index, arrivals in enumerate(sequences)
-        for name in chosen
-    ]
-    for record in make_backend(jobs).run(cells):
-        results[record.system].append(record_to_run_result(record))
-    return results

@@ -1,11 +1,12 @@
 """The supervised fleet control plane: actors, supervision, serving plans.
 
-This module turns a :class:`~repro.chaos.FaultSchedule` into a *serving
-plan*: the same pure-function-of-``(scenario, seed)`` dispatch plan the
-frozen front-end produces (:func:`repro.fleet.routing.partition_arrivals`),
-but computed by a deterministic sim-clock event loop in which shards can
-die, drain, degrade, recover — and every admitted request is provably
-served exactly once, rerouted, or explicitly shed.
+This module is the fleet's one admission planner: it turns an arrival
+stream and a :class:`~repro.chaos.FaultSchedule` into a *serving plan*,
+a pure function of ``(scenario, seed)`` computed by a deterministic
+sim-clock event loop in which shards can die, drain, degrade, recover —
+and every admitted request is provably served exactly once, rerouted,
+or explicitly shed.  An empty schedule is the fault-free case: every
+shard stays SERVING and each arrival is routed once, in its batch.
 
 Design
 ------
@@ -50,11 +51,6 @@ Design
   (:func:`repro.verify.invariants.check_serving_plan`) audits the ledger
   against the streams and histories: no lost requests, no serving on a
   dead shard, no shedding outside a degraded window.
-
-With an *empty* fault schedule the supervisor makes the same routing
-decisions (including identical RNG draw sequences for ``p2c``) as
-:func:`partition_arrivals`, so the fault-free serving plan is
-bit-identical to the frozen-admission plan.
 """
 
 from __future__ import annotations
@@ -292,8 +288,8 @@ class FleetSupervisor:
         self.shed_threshold = shed_threshold
         self.admission_batch = admission_batch
         self.telemetry = telemetry
-        # Same RNG family and policy construction as partition_arrivals,
-        # so the fault-free plan is bit-identical to the frozen one.
+        # The routing RNG family is a pure function of the seed, so the
+        # plan reproduces in every process.
         streams = SeededStreams(seed).spawn("fleet-router")
         self.router = get_policy(policy, n_shards, streams)
         recover_times = faults.recover_times()
@@ -313,6 +309,19 @@ class FleetSupervisor:
         return tuple(
             actor.shard for actor in self.actors if actor.state == SERVING
         )
+
+    def _route(
+        self, arrival: Arrival, loads: Tuple[float, ...], live: Tuple[int, ...]
+    ) -> int:
+        """The policy's choice, refused unless it is a serving shard (a
+        registered policy is outside code)."""
+        shard = self.router.route(arrival, loads, live)
+        if shard not in live:
+            raise ValueError(
+                f"policy {self.policy!r} routed to shard {shard}, not one "
+                f"of the serving shards {list(live)}"
+            )
+        return shard
 
     def _capacity_fraction(self) -> float:
         return sum(
@@ -518,7 +527,7 @@ class FleetSupervisor:
                 # Reroutes consult the live cumulative loads (the
                 # supervisor reacts to failures with fresh accounting)
                 # and never consume a batch slot or the shed budget.
-                to_shard = self.router.route_live(
+                to_shard = self._route(
                     arrivals[record.seq], tuple(self.loads), live
                 )
                 admit(record, to_shard, time_ms)
@@ -536,11 +545,11 @@ class FleetSupervisor:
                 if self._capacity_fraction() < self.shed_threshold:
                     shed(record, time_ms, "degraded-capacity")
                     continue
-                # Fresh admissions replicate the frozen front-end's
-                # batch-snapshot accounting exactly.
+                # Fresh admissions see the load snapshot taken at the
+                # start of their admission batch.
                 if admitted % self.admission_batch == 0:
                     snapshot = tuple(self.loads)
-                shard = self.router.route_live(arrival, snapshot, live)
+                shard = self._route(arrival, snapshot, live)
                 admit(record, shard, time_ms)
                 admitted += 1
                 self._emit(ShardAdmissionEvent(
@@ -599,11 +608,12 @@ def supervised_partition(
     admission_batch: int = ADMISSION_BATCH,
     telemetry=None,
 ) -> ServingPlan:
-    """The fault-aware dispatch plan (supervised analogue of
-    :func:`repro.fleet.routing.partition_arrivals`).
+    """The fleet dispatch plan: arrivals routed to per-shard streams.
 
-    Pure and deterministic in every argument; with an empty schedule the
-    ``streams`` equal the frozen-admission plan bit for bit.
+    Pure and deterministic in every argument — recomputing the plan in a
+    worker process yields the identical split.  An attached ``telemetry``
+    bus receives every control-plane event as it happens (one admission
+    event per admitted arrival, timestamped with the arrival time).
     """
     supervisor = FleetSupervisor(
         n_shards=n_shards, policy=policy, seed=seed, faults=faults,

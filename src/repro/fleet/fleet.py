@@ -2,9 +2,11 @@
 
 A :class:`FleetScenario` declares the whole deployment — shard count,
 routing policy, the global arrival stream and the per-shard system — and
-:class:`Fleet` turns it into executable work: the front-end routes the
-stream into per-shard sub-streams (:func:`repro.fleet.routing.partition_arrivals`),
-and every (seed × shard) pair becomes one explicit-arrival
+:class:`Fleet` turns it into executable work: the supervised front-end
+routes the stream into per-shard sub-streams
+(:func:`repro.fleet.control.supervised_partition`, under the scenario's
+fault schedule — empty when it declares none), and every (seed × shard)
+pair becomes one explicit-arrival
 :class:`~repro.campaign.backend.CampaignCell`.  Each cell rebuilds its own
 engine, RNG streams and instance-id space, so the campaign backends run
 shards serially or fanned out over worker processes with bit-identical
@@ -31,7 +33,7 @@ from ..chaos import FaultSchedule, FaultSpec
 from ..config import DEFAULT_PARAMETERS, SystemParameters
 from ..metrics.report import format_table
 from .control import ServingPlan, supervised_partition
-from .routing import ROUTING_POLICIES, load_imbalance, partition_arrivals
+from .routing import ROUTING_POLICIES, load_imbalance
 from .workload import FleetWorkload
 
 from ..workloads.generator import Arrival
@@ -282,7 +284,7 @@ class FleetResult:
     scenario: FleetScenario
     records: List[RunRecord]
     rollup: FleetRollup
-    #: Per-seed supervised serving plans (empty for fault-free runs).
+    #: Per-seed supervised serving plans.
     serving_plans: Dict[int, ServingPlan] = field(default_factory=dict)
     #: Shard cells skipped by ``resume=True`` (0 for fresh runs).
     resumed_cells: int = 0
@@ -306,51 +308,35 @@ class Fleet:
         self.params = scenario.parameters(base_params)
 
     # ------------------------------------------------------------------
-    def serving_plan(
-        self, seed: int, telemetry=None, check: bool = True
-    ) -> Optional[ServingPlan]:
-        """The supervised serving plan of one seed (``None`` fault-free).
+    def serving_plan(self, seed: int, telemetry=None) -> ServingPlan:
+        """The supervised serving plan of one seed.
 
-        With ``check`` the plan is audited against the no-lost-requests
-        invariants before anything simulates from it — a control-plane
-        bug fails loudly at planning time, never as silent request loss.
+        The plan is audited against the no-lost-requests invariants
+        before anything simulates from it — a control-plane bug fails
+        loudly at planning time, never as silent request loss.
         """
+        from ..verify.invariants import check_serving_plan
+
         scenario = self.scenario
-        if not scenario.faults:
-            return None
         arrivals = scenario.workload.arrivals(seed)
         plan = supervised_partition(
             arrivals, scenario.n_shards, scenario.policy, seed,
             scenario.fault_schedule(), telemetry=telemetry,
         )
-        if check:
-            from ..verify.invariants import check_serving_plan
-
-            violations = check_serving_plan(plan, arrivals)
-            if violations:
-                raise ValueError(
-                    f"fleet {scenario.name!r} seed {seed}: serving plan "
-                    f"violates no-lost-requests invariants: "
-                    + "; ".join(str(v) for v in violations[:5])
-                )
+        violations = check_serving_plan(plan, arrivals)
+        if violations:
+            raise ValueError(
+                f"fleet {scenario.name!r} seed {seed}: serving plan "
+                f"violates no-lost-requests invariants: "
+                + "; ".join(str(v) for v in violations[:5])
+            )
         return plan
 
     def shard_plan(self, seed: int, telemetry=None) -> List[List[Arrival]]:
-        """The dispatch plan: the global stream routed into shards.
-
-        Fault-free scenarios use the frozen admission front-end; with a
-        declared fault schedule the supervised control plane plans the
-        run (rerouting and shedding included) and the streams here are
-        its final per-shard arrival streams.
-        """
-        scenario = self.scenario
-        if scenario.faults:
-            return self.serving_plan(seed, telemetry=telemetry).streams
-        arrivals = scenario.workload.arrivals(seed)
-        return partition_arrivals(
-            arrivals, scenario.n_shards, scenario.policy, seed,
-            telemetry=telemetry,
-        )
+        """The dispatch plan: the global stream routed into shards (the
+        serving plan's final per-shard arrival streams, rerouting and
+        shedding included)."""
+        return self.serving_plan(seed, telemetry=telemetry).streams
 
     def plan_bundle(
         self, events_dir: Optional[Union[str, Path]] = None
@@ -382,12 +368,10 @@ class Fleet:
                     )
                 )
             try:
-                if self.scenario.faults:
-                    plan = self.serving_plan(seed, telemetry=telemetry)
-                    serving_plans[seed] = plan
-                    plans[seed] = plan.streams
-                else:
-                    plans[seed] = self.shard_plan(seed, telemetry=telemetry)
+                plan = serving_plans[seed] = self.serving_plan(
+                    seed, telemetry=telemetry
+                )
+                plans[seed] = plan.streams
             finally:
                 if telemetry is not None:
                     telemetry.close()

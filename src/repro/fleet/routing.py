@@ -16,18 +16,19 @@ process regardless of ``PYTHONHASHSEED``.
 Arrivals are admitted in small *batches* (:data:`ADMISSION_BATCH`): the
 load snapshot the policies see is frozen at batch start, modelling a
 front-end that folds telemetry in periodically rather than per request.
+The admission loop itself is the supervised control plane
+(:func:`repro.fleet.control.supervised_partition`); a policy only picks
+a shard among the ones currently serving.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..apps.benchmarks import BENCHMARKS
 from ..sim import SeededStreams
-from ..telemetry.bus import TelemetryBus
-from ..telemetry.events import ShardAdmissionEvent
 from ..workloads.generator import Arrival
 
 #: Arrivals admitted per routing batch; the per-shard load snapshot the
@@ -51,10 +52,11 @@ def estimated_work_ms(arrival: Arrival) -> float:
 
 
 class RoutingPolicy:
-    """Base class: map an arrival to a shard index.
+    """Base class: map an arrival to one of the live shards.
 
-    ``loads`` is the front-end's per-shard estimated-work snapshot, frozen
-    at the start of the current admission batch.
+    ``loads`` is the front-end's per-shard estimated-work snapshot;
+    ``live`` is the sorted tuple of currently-serving shard indices (all
+    of them when nothing has failed).
     """
 
     name = "?"
@@ -65,34 +67,13 @@ class RoutingPolicy:
         self.n_shards = n_shards
         self.streams = streams
 
-    def route(self, arrival: Arrival, loads: Sequence[float]) -> int:
-        raise NotImplementedError
-
-    def route_live(
+    def route(
         self,
         arrival: Arrival,
         loads: Sequence[float],
         live: Sequence[int],
     ) -> int:
-        """Route among the ``live`` shard subset (failure-aware admission).
-
-        ``live`` is the sorted tuple of currently-serving shard indices.
-        With every shard live this must make the *same decision (and the
-        same RNG draws)* as :meth:`route`, so a fault-free supervised plan
-        is bit-identical to the frozen-admission plan.  The base fallback
-        keeps the :meth:`route` choice when it is live and otherwise walks
-        cyclically upward to the next live shard.
-        """
-        if not live:
-            raise ValueError("route_live needs at least one live shard")
-        shard = self.route(arrival, loads)
-        if shard in live:
-            return shard
-        for offset in range(1, self.n_shards + 1):
-            candidate = (shard + offset) % self.n_shards
-            if candidate in live:
-                return candidate
-        raise ValueError("route_live: no live shard found")  # pragma: no cover
+        raise NotImplementedError
 
 
 #: Registered policies by name (insertion-ordered dict).
@@ -144,23 +125,18 @@ class ConsistentHashPolicy(RoutingPolicy):
         self._ring = [point for point, _ in points]
         self._owner = [shard for _, shard in points]
 
-    def route(self, arrival: Arrival, loads: Sequence[float]) -> int:
-        point = stable_digest(f"app/{arrival.app_name}")
-        index = bisect_right(self._ring, point) % len(self._ring)
-        return self._owner[index]
-
-    def route_live(
+    def route(
         self,
         arrival: Arrival,
         loads: Sequence[float],
         live: Sequence[int],
     ) -> int:
-        # Ring-walk past dead owners: the first live vnode clockwise of
-        # the key.  Keys whose owner stays live keep their shard, so a
-        # leave/rejoin remaps only the dead shard's key range (classic
-        # consistent-hashing stability, now under failures).
+        # The first live vnode clockwise of the key: keys whose owner
+        # stays live keep their shard, so a leave/rejoin remaps only the
+        # dead shard's key range (consistent-hashing stability under
+        # failures).
         if not live:
-            raise ValueError("route_live needs at least one live shard")
+            raise ValueError("route needs at least one live shard")
         live_set = frozenset(live)
         point = stable_digest(f"app/{arrival.app_name}")
         index = bisect_right(self._ring, point) % len(self._ring)
@@ -168,7 +144,7 @@ class ConsistentHashPolicy(RoutingPolicy):
             owner = self._owner[(index + step) % len(self._ring)]
             if owner in live_set:
                 return owner
-        raise ValueError("route_live: no live shard found")  # pragma: no cover
+        raise ValueError("route: no live shard found")  # pragma: no cover
 
 
 @register_policy
@@ -177,23 +153,14 @@ class LeastLoadedPolicy(RoutingPolicy):
 
     name = "least-loaded"
 
-    def route(self, arrival: Arrival, loads: Sequence[float]) -> int:
-        best = 0
-        best_load = loads[0]
-        for shard in range(1, self.n_shards):
-            if loads[shard] < best_load:
-                best = shard
-                best_load = loads[shard]
-        return best
-
-    def route_live(
+    def route(
         self,
         arrival: Arrival,
         loads: Sequence[float],
         live: Sequence[int],
     ) -> int:
         if not live:
-            raise ValueError("route_live needs at least one live shard")
+            raise ValueError("route needs at least one live shard")
         best = live[0]
         best_load = loads[best]
         for shard in live[1:]:
@@ -218,69 +185,20 @@ class PowerOfTwoPolicy(RoutingPolicy):
         super().__init__(n_shards, streams)
         self._rng = streams.stream("p2c")
 
-    def route(self, arrival: Arrival, loads: Sequence[float]) -> int:
-        first = self._rng.randrange(self.n_shards)
-        second = self._rng.randrange(self.n_shards)
-        return first if loads[first] <= loads[second] else second
-
-    def route_live(
+    def route(
         self,
         arrival: Arrival,
         loads: Sequence[float],
         live: Sequence[int],
     ) -> int:
-        # Candidates are drawn from the *live* index space, so the draw
-        # count per decision is fixed (two) and, with every shard live,
-        # the sequence is identical to :meth:`route` — the sorted live
-        # tuple is then (0..n-1) and ``live[i] == i``.
+        # Candidates are drawn from the *live* index space, so every
+        # decision takes exactly two draws and always lands on a live
+        # shard.
         if not live:
-            raise ValueError("route_live needs at least one live shard")
+            raise ValueError("route needs at least one live shard")
         first = live[self._rng.randrange(len(live))]
         second = live[self._rng.randrange(len(live))]
         return first if loads[first] <= loads[second] else second
-
-
-def partition_arrivals(
-    arrivals: Sequence[Arrival],
-    n_shards: int,
-    policy: str,
-    seed: int,
-    admission_batch: int = ADMISSION_BATCH,
-    telemetry: Optional[TelemetryBus] = None,
-) -> List[List[Arrival]]:
-    """The fleet dispatch plan: arrivals routed to per-shard sub-streams.
-
-    Pure and deterministic in ``(arrivals, n_shards, policy, seed)`` —
-    recomputing the plan in a worker process yields the identical split.
-    An attached ``telemetry`` bus receives one shard-admission event per
-    routed arrival (timestamped with the arrival time).
-    """
-    streams = SeededStreams(seed).spawn("fleet-router")
-    router = get_policy(policy, n_shards, streams)
-    loads = [0.0] * n_shards
-    shards: List[List[Arrival]] = [[] for _ in range(n_shards)]
-    emit_admission = (
-        telemetry is not None and telemetry.wants("admission")
-    )
-    for start in range(0, len(arrivals), admission_batch):
-        snapshot = tuple(loads)
-        for arrival in arrivals[start:start + admission_batch]:
-            shard = router.route(arrival, snapshot)
-            if not 0 <= shard < n_shards:
-                raise ValueError(
-                    f"policy {policy!r} routed to shard {shard} "
-                    f"outside [0, {n_shards})"
-                )
-            shards[shard].append(arrival)
-            loads[shard] += estimated_work_ms(arrival)
-            if emit_admission:
-                telemetry.emit(
-                    ShardAdmissionEvent(
-                        arrival.time_ms, arrival.app_name,
-                        arrival.batch_size, shard,
-                    )
-                )
-    return shards
 
 
 def shard_loads(shards: Sequence[Sequence[Arrival]]) -> List[float]:

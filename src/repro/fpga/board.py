@@ -49,10 +49,6 @@ class FPGABoard:
     # ------------------------------------------------------------------
     # Slot queries used by every scheduler
     # ------------------------------------------------------------------
-    def slots_of(self, kind: SlotKind) -> List[Slot]:
-        """All slots of one shape, in index order."""
-        return list(self._slots_by_kind[kind])
-
     def idle_slots(self, kind: SlotKind) -> List[Slot]:
         """Idle slots of one shape."""
         return [slot for slot in self._slots_by_kind[kind] if slot.is_idle]

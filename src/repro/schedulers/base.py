@@ -89,13 +89,6 @@ class SchedulerStats:
             self.pr_blocked += 1
             self.window_blocked += 1
 
-    def note_launch(self, wait_ms: float, pr_in_flight: bool) -> None:
-        self.launches += 1
-        self.launch_wait_ms += wait_ms
-        if wait_ms > BLOCK_EPSILON_MS and pr_in_flight:
-            self.launch_blocked += 1
-            self.window_blocked += 1
-
     def note_completion(self, inst: ApplicationInstance, finish_time: float) -> None:
         """Record one application completion (the only completion path)."""
         self.completions += 1
@@ -553,50 +546,6 @@ class OnBoardScheduler:
     # ------------------------------------------------------------------
     # Execution-side callbacks (task/bundle runs)
     # ------------------------------------------------------------------
-    def launch_gate(self, app_run: Optional[AppRun] = None) -> Generator:
-        """Process fragment run before every batch-item launch.
-
-        The launch needs the scheduler core; on single-core systems a PR in
-        flight therefore stalls it — the task execution blocking problem.
-        Blocking is attributed to PR contention only when the in-flight or
-        queued PR belongs to a *different* application (Fig. 2 semantics).
-
-        This is the canonical form; the run loops in
-        ``schedulers.runtime`` inline it (marked there) to spare a
-        generator frame per batch item.  Keep them in sync.
-        """
-        engine = self.engine
-        core = self._core
-        request = core.try_acquire()
-        if request is None:
-            # Uncontended: granted in place, zero wait — skip the PR-busy
-            # scan entirely (blocking needs a nonzero wait to count).
-            wait = 0.0
-            pr_busy = False
-        else:
-            started = engine.now
-            pr_busy = (
-                self._inflight_app is not None and self._inflight_app is not app_run
-            )
-            if not pr_busy and self.pr_queue._items:
-                # Iterate the live deque: ``items()`` would copy per launch.
-                pr_busy = any(q.app_run is not app_run for q in self.pr_queue._items)
-            yield request
-            wait = engine.now - started
-        self.stats.note_launch(wait, pr_in_flight=pr_busy)
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.wants_launch:
-            telemetry.emit_launch(
-                engine.now,
-                app_run.inst.app_id if app_run is not None else -1,
-                wait,
-                wait > BLOCK_EPSILON_MS and pr_busy,
-            )
-        try:
-            yield self._launch_overhead_ms
-        finally:
-            core.release()
-
     def on_run_finished(self, run, preempted: bool) -> None:
         """A task/bundle vacated its slot (batch done or preempted)."""
         app: AppRun = run.app_run

@@ -181,10 +181,6 @@ class AppRun:
     # ------------------------------------------------------------------
     # Progress queries used by the allocation/scheduling policies
     # ------------------------------------------------------------------
-    def task_complete(self, task_index: int) -> bool:
-        """True once a task finished its whole batch."""
-        return self.done_counts[task_index] >= self.batch
-
     @property
     def all_done(self) -> bool:
         return self._unfinished_tasks == 0
@@ -314,10 +310,6 @@ class AppRun:
             return bundle
         return None
 
-    @property
-    def used_slots(self) -> int:
-        return self.used_big + self.used_little
-
     def __repr__(self) -> str:
         return (
             f"<AppRun {self.inst.name} done={self.done_counts} "
@@ -409,12 +401,17 @@ class TaskRun:
                 finally:
                     self._waiting_dependency = False
                 continue  # re-check preemption after a potentially long wait
-            # Inlined launch gate (keep in sync with
-            # OnBoardScheduler.launch_gate — the canonical, documented
-            # form): every item launch needs the scheduler core.  The
-            # uncontended case grants in place — no request object, no
-            # dispatch round-trip — and only the contended branch pays
-            # for the PR-busy scan.
+            # The launch gate, run before every batch-item launch: the
+            # launch needs the scheduler core, so on single-core systems
+            # a PR in flight stalls it — the task execution blocking
+            # problem.  Blocking is attributed to PR contention only when
+            # the in-flight or queued PR belongs to a *different*
+            # application (Fig. 2 semantics).  The uncontended case
+            # grants in place — no request object, no dispatch
+            # round-trip, zero wait — and only the contended branch pays
+            # for the PR-busy scan.  It is inlined (no generator frame per
+            # item); BundleRun's two run loops carry copies of this
+            # block: keep the three in sync.
             request = try_acquire()
             if request is None:
                 wait = 0.0
@@ -529,8 +526,8 @@ class BundleRun:
             # bundle (_upstream_ready, inlined for the per-item path).
             if first > 0 and done_counts[first - 1] <= item:
                 yield app.item_event(first - 1, item)
-            # Inlined launch gate (keep in sync with
-            # OnBoardScheduler.launch_gate, the canonical form).
+            # Inlined launch gate (keep in sync with TaskRun._run, where
+            # it is documented).
             request = try_acquire()
             if request is None:
                 wait = 0.0
@@ -587,8 +584,8 @@ class BundleRun:
                     waiting = self._upstream_ready(item)
                     if waiting is not None:
                         yield waiting
-                # Inlined launch gate (keep in sync with
-                # OnBoardScheduler.launch_gate, the canonical form).
+                # Inlined launch gate (keep in sync with TaskRun._run,
+                # where it is documented).
                 request = try_acquire()
                 if request is None:
                     wait = 0.0

@@ -307,10 +307,6 @@ class ConditionEvent(Event):
             if child.engine is not engine:
                 raise ValueError("cannot mix events from different engines")
 
-    @staticmethod
-    def _outcome(event: Event) -> Any:
-        return event._value
-
 
 class AllOf(ConditionEvent):
     """Fires when all child events have fired; value is the list of values.

@@ -184,7 +184,8 @@ class Resource:
         in_use = self._in_use
         if in_use <= 0:
             raise RuntimeError(f"release() on idle resource {self.name!r}")
-        # Inlined _account(): release/grant pairs run per batch-item launch.
+        # Busy-time accounting, inlined here and in _grant: release/grant
+        # pairs run per batch-item launch.
         now = self.engine.now
         self._busy_time += in_use * (now - self._last_change)
         self._last_change = now
@@ -235,11 +236,6 @@ class Resource:
             # never fires — count it instead of swallowing it so the
             # invariant layer (and tests) can see the mismatch.
             self.abandon_misses += 1
-
-    def _account(self) -> None:
-        now = self.engine.now
-        self._busy_time += self._in_use * (now - self._last_change)
-        self._last_change = now
 
 
 class Store:

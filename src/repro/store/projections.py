@@ -7,15 +7,16 @@ notifications past the watermark — re-rendering a report after a
 campaign appended N cells folds N notifications, not the whole history —
 and ``rebuild`` re-folds from scratch, so every projection is
 oracle-checkable against its own full rebuild
-(:func:`verify_store_projections`) and against the batch reference
-implementations it mirrors:
+(:func:`verify_store_projections`).  Each report has this one fold; the
+batch entry points fold an in-memory record list through it:
 
-* :class:`RecordSummaryProjection` — the ``summarize_records`` table
-  (``metrics.report`` now renders through it).
+* :class:`RecordSummaryProjection` — the campaign summary table
+  (``metrics.report.summarize_records``).
 * :class:`FleetRollupProjection` — per-shard + global fleet rollups
-  (``fleet.rollup_records`` now folds through it).
+  (``fleet.rollup_records``).
 * :class:`FigureProjection` — the Fig. 5 reductions and Fig. 6 relative
-  tails, from compact per-record entries.
+  tails, from compact per-record entries (``Fig5Result.from_records``,
+  ``fig6_from_records``).
 * :class:`TelemetryCounterProjection` — streaming aggregation counters
   over *event* notifications (the same fold
   ``telemetry.replay.replay_aggregation`` runs over a JSONL event log).
@@ -118,33 +119,37 @@ class Projection:
 
 
 # ---------------------------------------------------------------------------
-# Shared response pooling (mirrors campaign.results.merged_response_summary)
+# Shared response pooling
 # ---------------------------------------------------------------------------
 
 
-def _new_pool() -> Dict[str, object]:
-    """Live accumulator mirroring ``merged_response_summary`` fold-by-fold.
-
-    ``raw`` extends in place with raw samples while every folded record
-    is raw-carrying (or empty); the first digest-only record flips the
-    group onto the digest path permanently (``raw`` becomes None),
-    exactly the branch the batch helper takes over a full record list.
-    ``digest`` is a live :class:`ResponseDigest` that accumulates in
-    record order on both paths, so the digest-path result is
-    bit-identical to a batch merge.  A fold costs O(the record's
-    samples or buckets); only :func:`_group_state` serializes a pool.
-    """
-    return {"raw": [], "digest": ResponseDigest()}
-
-
-def _pool_fold(pool: Dict[str, object], record) -> None:
-    digest: ResponseDigest = pool["digest"]  # type: ignore[assignment]
+def fold_responses(digest: ResponseDigest, record) -> None:
+    """Fold one record's responses into ``digest``: its raw samples when
+    it carries them, else its own digest (nothing for an empty record)."""
     if record.response_times_ms:
         digest.extend(record.response_times_ms)
     else:
         own = record.digest()
         if own is not None:
             digest.merge(own)
+
+
+def _new_pool() -> Dict[str, object]:
+    """Live accumulator of many records' responses.
+
+    ``raw`` extends in place with raw samples while every folded record
+    is raw-carrying or empty — a shard that completed nothing constrains
+    neither mode, so ``--raw-samples`` runs pool exactly — and the first
+    digest-only record flips the group onto the digest path permanently
+    (``raw`` becomes None).  ``digest`` accumulates in record order on
+    both paths (:func:`fold_responses`).  A fold costs O(the record's
+    samples or buckets); only :func:`_group_state` serializes a pool.
+    """
+    return {"raw": [], "digest": ResponseDigest()}
+
+
+def _pool_fold(pool: Dict[str, object], record) -> None:
+    fold_responses(pool["digest"], record)  # type: ignore[arg-type]
     raw = pool["raw"]
     if raw is not None:
         if record.response_digest and not record.response_times_ms:
@@ -404,11 +409,13 @@ class FleetRollupProjection(Projection):
 class FigureProjection(Projection):
     """Fig. 5 reductions + Fig. 6 relative tails from per-record entries.
 
-    State is one compact entry per record (identity fields for the
-    pairing validations plus the three response scalars the figures
-    consume) — O(#cells), never O(#requests) — grouped condition-first
-    then system in first-appearance order, mirroring
-    ``Fig5Result.from_records``.
+    The one Fig. 5/6 computation: ``Fig5Result.from_records`` and
+    ``fig6_from_records`` fold records through it.  State is one compact
+    entry per record (identity fields for the pairing validations plus
+    the three response scalars the figures consume) — O(#cells), never
+    O(#requests) — grouped condition-first then system in
+    first-appearance order.  A record's scalars come from its exact raw
+    samples when it carries them, else from its digest.
     """
 
     name = "figures"
@@ -426,17 +433,17 @@ class FigureProjection(Projection):
         systems = self._conditions.setdefault(record.condition, {})
         entries = systems.setdefault(record.system, [])
         if record.response_times_ms:
-            from ..metrics.response import ResponseStats
+            from ..metrics.response import ResponseStats  # lazy: avoids a cycle
 
             responses: object = ResponseStats()
             responses.extend(record.response_times_ms)  # type: ignore[attr-defined]
-        else:
-            responses = record.response_summary()
-        has_samples = responses.count > 0
-        try:
             mean = record.mean_response_ms()
-        except ValueError:
-            mean = None
+        else:
+            # The stored digest (``RunRecord.mean_response_ms`` reads the
+            # same running mean); an empty record has no mean.
+            responses = record.response_summary()
+            mean = responses.mean() if responses.count else None
+        has_samples = responses.count > 0
         entries.append({
             "scenario": record.scenario,
             "seed": record.seed,
@@ -448,9 +455,12 @@ class FigureProjection(Projection):
             "p99": responses.percentile(99.0) if has_samples else None,
         })
 
-    @staticmethod
-    def _sorted(entries: List[Dict[str, object]]) -> List[Dict[str, object]]:
-        return sorted(entries, key=lambda e: (e["seed"], e["seq"]))
+    def _matrix(self, label: str) -> Dict[str, List[Dict[str, object]]]:
+        """One condition's entries per system, ordered by (seed, sequence)."""
+        return {
+            system: sorted(entries, key=lambda e: (e["seed"], e["seq"]))
+            for system, entries in self._conditions[label].items()
+        }
 
     def _mean_of(self, system: str, entry: Dict[str, object]) -> float:
         if entry["mean"] is None:
@@ -462,13 +472,13 @@ class FigureProjection(Projection):
     def render_fig5(
         self, baseline: str = "Baseline"
     ) -> Dict[str, Dict[str, float]]:
-        """Per-condition reductions, mirroring ``reductions_from_records``."""
+        """Per condition: the mean over sequences of (baseline mean
+        response / system mean response), after refusing records that
+        cannot be paired (no baseline, mixed fingerprints, duplicate or
+        unmatched cells)."""
         reductions: Dict[str, Dict[str, float]] = {}
-        for label, systems in self._conditions.items():
-            grouped = {
-                system: self._sorted(entries)
-                for system, entries in systems.items()
-            }
+        for label in self._conditions:
+            grouped = self._matrix(label)
             if baseline not in grouped:
                 raise KeyError(
                     f"no {baseline!r} records to normalize against; have: "
@@ -529,21 +539,23 @@ class FigureProjection(Projection):
     def render_fig6(
         self, baseline: str = "Baseline"
     ) -> Dict[str, Dict[str, float]]:
-        """Relative P95/P99 tails, mirroring ``fig6_from_records``."""
-        from ..experiments.fig6 import TAIL_CONDITIONS
+        """Relative P95/P99 tails (``"<condition>-95"`` / ``"-99"``): per
+        tail condition, the mean over sequences of system percentile /
+        baseline percentile.  Records that cannot form Fig. 5 fail the
+        same way here; records without a tail condition raise."""
+        from ..experiments.fig6 import TAIL_CONDITIONS  # lazy: avoids a cycle
 
-        # from_records computes every condition's reductions before the
-        # tails; run the same validations here so failure modes match.
         self.render_fig5(baseline=baseline)
+        labels = [c.label for c in TAIL_CONDITIONS if c.label in self._conditions]
+        if not labels:
+            raise ValueError(
+                "Fig. 6 needs records of a tail condition ("
+                + ", ".join(c.label for c in TAIL_CONDITIONS)
+                + f"); have: {', '.join(self._conditions) or 'none'}"
+            )
         relative_tails: Dict[str, Dict[str, float]] = {}
-        for condition in TAIL_CONDITIONS:
-            label = condition.label
-            if label not in self._conditions:
-                continue
-            matrix = {
-                system: self._sorted(entries)
-                for system, entries in self._conditions[label].items()
-            }
+        for label in labels:
+            matrix = self._matrix(label)
             baseline_runs = matrix[baseline]
             for key, tag in (("p95", "95"), ("p99", "99")):
                 column: Dict[str, float] = {}
@@ -551,8 +563,6 @@ class FigureProjection(Projection):
                     ratios = []
                     for base, run in zip(baseline_runs, runs):
                         if run[key] is None or base[key] is None:
-                            # The batch path would hit percentile() on an
-                            # empty summary; raise its exact message.
                             raise ValueError("no response samples recorded")
                         ratios.append(float(run[key]) / float(base[key]))  # type: ignore[arg-type]
                     column[system] = sum(ratios) / len(ratios)

@@ -20,6 +20,7 @@ from typing import Dict, List, Sequence
 
 from ..telemetry.digest import ResponseDigest
 from .campaign_store import CampaignStore, resolve_store
+from .projections import fold_responses
 from .snapshot import CampaignSnapshot, cell_key, cell_spec
 
 #: Default checkpoint cadence (cells per snapshot) for the CLI surface.
@@ -39,19 +40,6 @@ class ExecutionOutcome:
     executed: int
     #: Snapshots recorded this call.
     snapshots: int
-
-
-def _merged_digest(records) -> Dict[str, object]:
-    """One digest over the completed records (snapshot payload)."""
-    merged = ResponseDigest()
-    for record in records:
-        if record.response_times_ms:
-            merged.extend(record.response_times_ms)
-        else:
-            digest = record.digest()
-            if digest is not None:
-                merged.merge(digest)
-    return merged.to_dict()
 
 
 def execute_with_store(
@@ -132,15 +120,16 @@ def execute_with_store(
             store.append_records(chunk_records)
             if snapshot_every > 0:
                 done = [i for i in range(len(cells)) if i in results]
-                done_records = [
-                    results[i] for i in done if not results[i].failed
-                ]
+                merged = ResponseDigest()
+                for i in done:
+                    if not results[i].failed:
+                        fold_responses(merged, results[i])
                 store.record_snapshot(
                     CampaignSnapshot(
                         completed=tuple(
                             keys[i] for i in done if not results[i].failed
                         ),
-                        digest=_merged_digest(done_records),
+                        digest=merged.to_dict(),
                         cells=tuple(
                             cell_spec(cells[i])
                             for i in done

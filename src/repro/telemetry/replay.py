@@ -3,11 +3,10 @@
 The JSONL event log written by :class:`~repro.telemetry.sinks
 .JsonlEventLogSink` is the run's source of truth — these helpers read it
 back into typed events and re-run the streaming aggregation over it, so
-``repro replay <events.jsonl>`` (and ``repro telemetry summarize``)
-reproduce a run's response statistics, makespan and counters without
-touching the simulator.  Re-derivation is bit-identical: the aggregation
-sink folds replayed completion events in the same order with the same
-floats the live run emitted.
+``repro replay <events.jsonl>`` reproduces a run's response statistics,
+makespan and counters without touching the simulator.  Re-derivation is
+bit-identical: the aggregation sink folds replayed completion events in
+the same order with the same floats the live run emitted.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Two modes share the machinery:
   campaign registry under a root ``--seed``.
 
 A failing case is shrunk and persisted under ``--repro-dir`` as a JSON
-repro replayable with ``python -m repro campaign replay <file>``; the
+repro replayable with ``python -m repro replay <file>``; the
 command exits non-zero if any case diverged or broke an invariant.
 """
 
@@ -91,8 +91,8 @@ def add_verify_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _check_case(oracle: DifferentialOracle, case: FuzzCase) -> DivergenceReport:
     report = oracle.check(case.system, case.arrivals(), case.params())
-    # Faulted fleet cases additionally audit the serving plan: losing a
-    # request is a failure even when every kernel agrees bit-for-bit.
+    # Fleet cases additionally audit the serving plan: losing a request
+    # is a failure even when every kernel agrees bit-for-bit.
     report.plan_violations = case.plan_violations()
     return report
 
@@ -117,7 +117,7 @@ def _handle_failure(
     print(
         f"shrunk to: {shrunk.describe()} ({attempts} shrink runs)\n"
         f"repro persisted: {path}\n"
-        f"replay with: python -m repro campaign replay {path}",
+        f"replay with: python -m repro replay {path}",
         file=sys.stderr,
     )
     return path

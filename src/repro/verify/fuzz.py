@@ -11,7 +11,7 @@ shifts its neighbours.
 A failing case is **shrunk** (greedy: fewer applications, flatter batch
 range, dropped overrides, calmer congestion — every candidate re-checked
 against the oracle) and **persisted** as a JSON repro file that
-``python -m repro campaign replay <file>`` turns back into the exact
+``python -m repro replay <file>`` turns back into the exact
 failing comparison.
 """
 
@@ -33,7 +33,6 @@ from ..fleet import (
     FLEET_SCENARIOS,
     FleetScenario,
     FleetWorkload,
-    partition_arrivals,
     policy_names,
     supervised_partition,
 )
@@ -70,39 +69,16 @@ def _fleet_serving_plan(
     sequence_index: int,
     faults: Tuple[Tuple[str, float, int, float, float], ...],
 ):
-    """Memoized supervised serving plan of one faulted fleet deployment."""
-    stream = workload.arrivals(seed, sequence_index)
-    return supervised_partition(
-        stream, n_shards, policy, seed, FaultSchedule.from_tuples(faults)
-    )
-
-
-@lru_cache(maxsize=64)
-def _fleet_dispatch_plan(
-    workload: FleetWorkload,
-    n_shards: int,
-    policy: str,
-    seed: int,
-    sequence_index: int,
-    faults: Tuple[Tuple[str, float, int, float, float], ...] = (),
-) -> Tuple[Tuple[Arrival, ...], ...]:
-    """Memoized dispatch plan shared by a fleet scenario's shard cases.
+    """Memoized serving plan shared by a fleet deployment's shard cases.
 
     A fleet sweep enumerates one case per shard of the same deployment;
     without the memo every case would regenerate the full global stream
-    and re-route it (O(shards²) partitions per sweep).  A non-empty fault
-    schedule routes through the supervised control plane instead of the
-    frozen front-end.
+    and re-plan it (O(shards²) plans per sweep).  An empty fault schedule
+    is the fault-free plan.
     """
-    if faults:
-        plan = _fleet_serving_plan(
-            workload, n_shards, policy, seed, sequence_index, faults
-        )
-        return tuple(tuple(shard) for shard in plan.streams)
     stream = workload.arrivals(seed, sequence_index)
-    return tuple(
-        tuple(shard)
-        for shard in partition_arrivals(stream, n_shards, policy, seed)
+    return supervised_partition(
+        stream, n_shards, policy, seed, FaultSchedule.from_tuples(faults)
     )
 
 
@@ -178,39 +154,33 @@ class FuzzCase:
     def fault_schedule(self) -> FaultSchedule:
         return FaultSchedule.from_tuples(self.faults)
 
+    def _serving_plan(self):
+        """The memoized serving plan of this fleet case's deployment."""
+        return _fleet_serving_plan(
+            self.fleet_workload(), self.n_shards, self.policy or "hash",
+            self.seed, self.sequence_index, self.faults,
+        )
+
     def arrivals(self) -> List[Arrival]:
         if self.is_fleet:
-            shards = _fleet_dispatch_plan(
-                self.fleet_workload(),
-                self.n_shards,
-                self.policy or "hash",
-                self.seed,
-                self.sequence_index,
-                self.faults,
-            )
-            return list(shards[self.shard])
+            return list(self._serving_plan().streams[self.shard])
         return self.workload().sequence(self.seed, self.sequence_index)
 
     def plan_violations(self) -> List[str]:
         """No-lost-requests audit of this case's serving plan.
 
-        Empty for non-fleet and fault-free cases.  For faulted fleet
-        cases the supervised plan is checked against the ledger/stream
-        invariants (:func:`repro.verify.invariants.check_serving_plan`);
-        any finding is a control-plane bug the oracle must surface even
-        when the kernels agree with each other.
+        Empty for non-fleet cases.  A fleet case's plan, faulted or not,
+        is checked against the ledger/stream invariants
+        (:func:`repro.verify.invariants.check_serving_plan`); any finding
+        is a control-plane bug the oracle must surface even when the
+        kernels agree with each other.
         """
-        if not (self.is_fleet and self.faults):
+        if not self.is_fleet:
             return []
         from .invariants import check_serving_plan  # lazy: heavy import
 
-        workload = self.fleet_workload()
-        plan = _fleet_serving_plan(
-            workload, self.n_shards, self.policy or "hash",
-            self.seed, self.sequence_index, self.faults,
-        )
-        stream = workload.arrivals(self.seed, self.sequence_index)
-        return [str(v) for v in check_serving_plan(plan, stream)]
+        stream = self.fleet_workload().arrivals(self.seed, self.sequence_index)
+        return [str(v) for v in check_serving_plan(self._serving_plan(), stream)]
 
     def params(self) -> SystemParameters:
         if not self.overrides:
@@ -635,9 +605,9 @@ def load_repro(path: Union[str, Path]) -> Tuple[FuzzCase, Optional[Dict[str, obj
 def replay_case(case: FuzzCase, oracle=None):
     """Run one case through the oracle; returns the fresh report.
 
-    For faulted fleet cases the report also carries the serving-plan
-    audit: a control plane that lost or double-served a request fails
-    the case even when every kernel agrees.
+    For fleet cases the report also carries the serving-plan audit: a
+    control plane that lost or double-served a request fails the case
+    even when every kernel agrees.
     """
     from .oracle import DifferentialOracle  # lazy: fuzz is imported by oracle users
 

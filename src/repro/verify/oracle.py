@@ -231,8 +231,8 @@ class DivergenceReport:
     #: ``(index, reference_line, optimized_line)`` of the first trace
     #: record the kernels disagree on (a missing line reads as None).
     first_trace_divergence: Optional[Tuple[int, Optional[str], Optional[str]]] = None
-    #: No-lost-requests findings from the serving-plan audit of a faulted
-    #: fleet case (``check_serving_plan``).  Kernel-independent: a broken
+    #: No-lost-requests findings from the serving-plan audit of a fleet
+    #: case (``check_serving_plan``).  Kernel-independent: a broken
     #: control plane fails the oracle even when every kernel agrees.
     plan_violations: List[str] = field(default_factory=list)
 

@@ -209,7 +209,7 @@ class TestTruncatedTailAccounting:
         # Dropped lines are an exit-code-visible condition (3), not just a
         # note: automation must not mistake a damaged replay for a clean one.
         with pytest.warns(UserWarning):
-            assert main(["campaign", "replay", str(store.path)]) == 3
+            assert main(["replay", str(store.path)]) == 3
         out = capsys.readouterr().out
         assert "1 truncated trailing line(s) skipped" in out
 
@@ -220,9 +220,7 @@ class TestTruncatedTailAccounting:
 
         store = self._store_with_truncated_tail(tmp_path)
         with pytest.warns(UserWarning):
-            assert main(
-                ["campaign", "replay", str(store.path), "--json"]
-            ) == 3
+            assert main(["replay", str(store.path), "--json"]) == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["records"] == 1
         assert payload["skipped_lines"] == 1

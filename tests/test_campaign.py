@@ -26,7 +26,7 @@ from repro.campaign import (
     simulate_run,
 )
 from repro.config import DEFAULT_PARAMETERS
-from repro.experiments import Fig5Result, run_fig5, run_sequence
+from repro.experiments import Fig5Result, run_fig5
 from repro.fpga import BoardConfig
 from repro.workloads import Condition, WorkloadGenerator, WorkloadSpec
 
@@ -70,7 +70,7 @@ class TestScenario:
         scenario = self._scenario()
         cells = CampaignRunner().cells_for(scenario)
         assert len(cells) == scenario.cell_count() == 2 * 2 * 2
-        # sequence-major within a seed, systems inner (run_matrix order)
+        # sequence-major within a seed, systems inner
         assert [(c.seed, c.sequence_index, c.system) for c in cells[:4]] == [
             (1, 0, "Baseline"), (1, 0, "FCFS"), (1, 1, "Baseline"), (1, 1, "FCFS"),
         ]
@@ -119,25 +119,6 @@ class TestScenario:
 
 
 class TestSimulationCore:
-    def test_run_sequence_is_thin_wrapper(self):
-        arrivals = WorkloadGenerator(1).sequence(Condition.LOOSE, n_apps=3)
-        via_wrapper = run_sequence("Nimblock", arrivals)
-        via_core = simulate_run("Nimblock", arrivals)
-        assert via_wrapper.responses.samples_ms == via_core.stats.response_times_ms()
-
-    def test_run_sequence_digest_only_matches_exact_aggregates(self):
-        arrivals = WorkloadGenerator(1).sequence(Condition.LOOSE, n_apps=3)
-        exact = run_sequence("Nimblock", arrivals)
-        digest = run_sequence("Nimblock", arrivals, digest_only=True)
-        # Production memory config: no retained per-request records, a
-        # streaming digest instead — same counts and (for these few
-        # samples, exactly representable) aggregates.
-        assert digest.stats.responses == []
-        assert digest.responses.count == exact.responses.count
-        assert digest.responses.mean() == pytest.approx(exact.responses.mean())
-        assert digest.makespan_ms == exact.makespan_ms
-        assert digest.stats.completions == exact.stats.completions
-
     def test_drain_error_is_diagnosable(self):
         arrivals = WorkloadGenerator(1).sequence(Condition.STRESS, n_apps=4)
         with pytest.raises(DrainError) as excinfo:
@@ -376,16 +357,12 @@ class TestFigureReplay:
                 systems=("FCFS",),
             )
         )
-        from repro.experiments import reductions_from_records
-
         with pytest.raises(KeyError, match="Baseline"):
-            reductions_from_records(records)
+            Fig5Result.from_records(records)
 
     def test_incompatible_records_refused(self, tmp_path):
         """Appends from differently-parameterized campaigns must not be
         silently averaged together on replay."""
-        from repro.experiments import reductions_from_records
-
         path = tmp_path / "mixed.jsonl"
 
         def run(n_apps):
@@ -400,7 +377,7 @@ class TestFigureReplay:
         run(3)
         run(4)
         with pytest.raises(ValueError, match="duplicate"):
-            reductions_from_records(load_records(path)[0])
+            Fig5Result.from_records(load_records(path)[0])
 
 
 class TestBackends:
@@ -440,6 +417,28 @@ class TestCampaignCLI:
         assert main(["replay", str(out_path)]) == 0
         assert "Campaign records" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["text", "json"])
+    def test_fig6_replay_without_a_tail_condition_is_an_operator_error(
+        self, tmp_path, capsys, as_json
+    ):
+        """Fig. 6 plots Standard, Stress and Real-Time only: Loose-only
+        records cannot form it, so replay exits 2 naming what is missing
+        and what the records hold instead of printing an empty figure."""
+        from repro.cli import main
+
+        out_path = tmp_path / "loose.jsonl"
+        assert main([
+            "campaign", "run", "fig5-loose", "--apps", "4",
+            "--sequences", "1", "--out", str(out_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["replay", str(out_path), "--figure", "fig6", *as_json]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Standard, Stress, Real-Time" in captured.err
+        assert captured.err.rstrip().endswith("have: Loose")
+
     @pytest.mark.parametrize("argv", [
         ["fig5", "--apps", "0"],
         ["fig5", "--sequences", "0"],
@@ -478,8 +477,6 @@ class TestCampaignCLI:
 
     @pytest.mark.parametrize("argv", [
         ["replay", "DIR"],
-        ["telemetry", "summarize", "DIR"],
-        ["campaign", "replay", "DIR"],
         ["store", "ingest", "new.sqlite", "DIR"],
         ["store", "export", "DIR", "x.sqlite"],
         ["campaign", "run", "smoke", "--out", "DIR"],
@@ -513,6 +510,19 @@ class TestCampaignCLI:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.rstrip().endswith(f": {name}")
         assert tree() == before
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "replay", "results.jsonl"],
+        ["telemetry", "summarize", "events.jsonl"],
+    ], ids="_".join)
+    def test_removed_replay_aliases_are_invalid_choices(self, argv, capsys):
+        """``replay`` is the one replay command."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_fig8_with_one_app_has_no_dswitch_samples(self, capsys):
         from repro.cli import main

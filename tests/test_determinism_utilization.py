@@ -4,7 +4,8 @@ import pytest
 
 from repro.apps import ApplicationInstance, BENCHMARKS, reset_instance_ids
 from repro.config import DEFAULT_PARAMETERS
-from repro.experiments.runner import SYSTEMS, run_sequence
+from repro.campaign import simulate_run
+from repro.experiments.runner import SYSTEMS
 from repro.fpga import BoardConfig, FPGABoard, ResourceVector, SlotOccupancy
 from repro.metrics import UtilizationTracker
 from repro.sim import Engine
@@ -22,9 +23,9 @@ class TestDeterminism:
     @pytest.mark.parametrize("system", list(SYSTEMS))
     def test_identical_replay_per_system(self, system):
         arrivals = WorkloadGenerator(21).sequence(Condition.STRESS, n_apps=8)
-        first = run_sequence(system, arrivals)
-        second = run_sequence(system, arrivals)
-        assert first.responses.samples_ms == second.responses.samples_ms
+        first = simulate_run(system, arrivals)
+        second = simulate_run(system, arrivals)
+        assert first.stats.response_times_ms() == second.stats.response_times_ms()
         assert first.stats.pr_count == second.stats.pr_count
         assert first.stats.preemptions == second.stats.preemptions
 
@@ -68,22 +69,6 @@ class TestBackendEquivalence:
             assert a.counters == b.counters
             assert a.makespan_ms == b.makespan_ms
             assert a.to_dict() == b.to_dict()
-
-    def test_parallel_run_matrix_matches_serial(self):
-        from repro.experiments.runner import run_matrix
-
-        sequences = [
-            WorkloadGenerator(3).sequence(Condition.STRESS, n_apps=5),
-            WorkloadGenerator(4).sequence(Condition.STANDARD, n_apps=5),
-        ]
-        serial = run_matrix(sequences, systems=["Nimblock", "VersaSlot-OL"])
-        parallel = run_matrix(
-            sequences, systems=["Nimblock", "VersaSlot-OL"], jobs=2
-        )
-        for system, runs in serial.items():
-            for a, b in zip(runs, parallel[system]):
-                assert a.responses.samples_ms == b.responses.samples_ms
-                assert a.stats.pr_count == b.stats.pr_count
 
 
 class TestUtilizationTracker:

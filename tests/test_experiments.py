@@ -12,8 +12,8 @@ from repro.experiments import (
     run_fig7,
     run_fig7_dynamic,
     run_fig8,
-    run_sequence,
 )
+from repro.campaign import simulate_run
 from repro.workloads import Condition, WorkloadGenerator
 
 
@@ -25,20 +25,20 @@ class TestRunner:
 
     def test_run_sequence_drains(self):
         arrivals = WorkloadGenerator(1).sequence(Condition.LOOSE, n_apps=4)
-        result = run_sequence("Nimblock", arrivals)
-        assert result.responses.count == 4
+        result = simulate_run("Nimblock", arrivals)
+        assert len(result.stats.response_times_ms()) == 4
         assert result.stats.completions == 4
 
     def test_unknown_system_rejected(self):
         arrivals = WorkloadGenerator(1).sequence(Condition.LOOSE, n_apps=2)
         with pytest.raises(KeyError, match="available"):
-            run_sequence("Mystery", arrivals)
+            simulate_run("Mystery", arrivals)
 
     def test_run_sequence_deterministic(self):
         arrivals = WorkloadGenerator(1).sequence(Condition.STRESS, n_apps=6)
-        a = run_sequence("VersaSlot-BL", arrivals)
-        b = run_sequence("VersaSlot-BL", arrivals)
-        assert a.responses.samples_ms == b.responses.samples_ms
+        a = simulate_run("VersaSlot-BL", arrivals)
+        b = simulate_run("VersaSlot-BL", arrivals)
+        assert a.stats.response_times_ms() == b.stats.response_times_ms()
 
 
 class TestFig5:

@@ -19,19 +19,22 @@ import pytest
 from repro.apps import reset_instance_ids
 from repro.campaign.backend import SerialBackend
 from repro.campaign.results import load_records
+from repro.chaos import FaultSchedule
 from repro.cli import main
 from repro.fleet import (
     ADMISSION_BATCH,
     FLEET_SCENARIOS,
+    ROUTING_POLICIES,
     Fleet,
     FleetScenario,
     FleetWorkload,
+    RoutingPolicy,
     get_fleet_scenario,
     get_policy,
     load_imbalance,
-    partition_arrivals,
     policy_names,
     stable_digest,
+    supervised_partition,
 )
 from repro.fleet.workload import FLEET_WORKLOAD_KINDS
 from repro.sim import SeededStreams
@@ -50,6 +53,13 @@ def smoke_stream(n_apps=12, condition=Condition.STRESS, kind="uniform"):
     return FleetWorkload(kind=kind, condition=condition, n_apps=n_apps).arrivals(1)
 
 
+def fault_free_plan(arrivals, n_shards, policy, seed):
+    """The per-shard streams of a fleet with no faults."""
+    return supervised_partition(
+        arrivals, n_shards, policy, seed, FaultSchedule()
+    ).streams
+
+
 # ----------------------------------------------------------------------
 # Routing policies
 # ----------------------------------------------------------------------
@@ -62,7 +72,7 @@ class TestRouting:
 
     def test_consistent_hash_keys_by_app(self):
         arrivals = smoke_stream(24)
-        shards = partition_arrivals(arrivals, 4, "hash", seed=1)
+        shards = fault_free_plan(arrivals, 4, "hash", seed=1)
         app_to_shard = {}
         for shard, sub in enumerate(shards):
             for arrival in sub:
@@ -70,8 +80,8 @@ class TestRouting:
 
     def test_consistent_hash_remaps_a_fraction_on_scale_out(self):
         arrivals = smoke_stream(24)
-        four = partition_arrivals(arrivals, 4, "hash", seed=1)
-        five = partition_arrivals(arrivals, 5, "hash", seed=1)
+        four = fault_free_plan(arrivals, 4, "hash", seed=1)
+        five = fault_free_plan(arrivals, 5, "hash", seed=1)
 
         def shard_of(plan):
             return {
@@ -87,23 +97,23 @@ class TestRouting:
     def test_least_loaded_balances_estimated_work(self):
         arrivals = smoke_stream(32)
         balanced = load_imbalance(
-            partition_arrivals(arrivals, 4, "least-loaded", seed=1)
+            fault_free_plan(arrivals, 4, "least-loaded", seed=1)
         )
-        hashed = load_imbalance(partition_arrivals(arrivals, 4, "hash", seed=1))
+        hashed = load_imbalance(fault_free_plan(arrivals, 4, "hash", seed=1))
         assert balanced <= hashed
         assert balanced < 1.5
 
     def test_p2c_draws_from_seeded_streams(self):
         arrivals = smoke_stream(16)
-        first = partition_arrivals(arrivals, 3, "p2c", seed=5)
-        second = partition_arrivals(arrivals, 3, "p2c", seed=5)
+        first = fault_free_plan(arrivals, 3, "p2c", seed=5)
+        second = fault_free_plan(arrivals, 3, "p2c", seed=5)
         assert first == second
-        assert partition_arrivals(arrivals, 3, "p2c", seed=6) != first
+        assert fault_free_plan(arrivals, 3, "p2c", seed=6) != first
 
     def test_partition_is_exact_and_order_preserving(self):
         arrivals = smoke_stream(20)
         for policy in policy_names():
-            shards = partition_arrivals(arrivals, 3, policy, seed=2)
+            shards = fault_free_plan(arrivals, 3, policy, seed=2)
             flat = [arrival for sub in shards for arrival in sub]
             assert sorted(flat, key=lambda a: a.time_ms) == arrivals
             for sub in shards:
@@ -113,11 +123,25 @@ class TestRouting:
         with pytest.raises(KeyError, match="least-loaded"):
             get_policy("round-robin", 2, SeededStreams(1))
 
+    def test_policy_routing_off_the_live_set_is_refused(self, monkeypatch):
+        """A registered policy is outside code: a shard it picks that is
+        not serving is refused with an error naming the policy."""
+
+        class OffByOne(RoutingPolicy):
+            name = "off-by-one"
+
+            def route(self, arrival, loads, live):
+                return self.n_shards
+
+        monkeypatch.setitem(ROUTING_POLICIES, "off-by-one", OffByOne)
+        with pytest.raises(ValueError, match="'off-by-one' routed to shard 2"):
+            fault_free_plan(smoke_stream(4), 2, "off-by-one", seed=1)
+
     def test_admission_batching_freezes_snapshots(self):
         """Within one admission batch, least-loaded routes against the
         batch-start snapshot (stale loads), not per-arrival accounting."""
         arrivals = smoke_stream(ADMISSION_BATCH)
-        shards = partition_arrivals(arrivals, 2, "least-loaded", seed=1)
+        shards = fault_free_plan(arrivals, 2, "least-loaded", seed=1)
         # Snapshot all-zero for the whole first batch: ties go to shard 0.
         assert len(shards[0]) == ADMISSION_BATCH
         assert shards[1] == []
@@ -126,13 +150,15 @@ class TestRouting:
         """The front-end reproduces the identical dispatch plan in fresh
         interpreters regardless of PYTHONHASHSEED (the spawn regression)."""
         script = (
-            "from repro.fleet import partition_arrivals\n"
+            "from repro.chaos import FaultSchedule\n"
+            "from repro.fleet import supervised_partition\n"
             "from repro.fleet.workload import FleetWorkload\n"
             "from repro.workloads import Condition\n"
             "s = FleetWorkload(kind='hot-skew', condition=Condition.STRESS,"
             " n_apps=16).arrivals(3)\n"
             "for policy in ('hash', 'least-loaded', 'p2c'):\n"
-            "    plan = partition_arrivals(s, 3, policy, seed=3)\n"
+            "    plan = supervised_partition("
+            "s, 3, policy, 3, FaultSchedule()).streams\n"
             "    print(policy, [[a.app_name for a in sub] for sub in plan])\n"
         )
         outputs = set()
@@ -237,6 +263,105 @@ class TestFleetWorkloads:
         # Stress-tenant gaps (~175 ms) and loose-tenant gaps (5000 ms)
         # both appear in the merged stream.
         assert min(gaps) < 1000 < max(gaps)
+
+
+# ----------------------------------------------------------------------
+# Fault-free dispatch plans
+# ----------------------------------------------------------------------
+#: (sha256 of ``repr(plans)``, sha256 of the admission event logs in seed
+#: order) from ``plan_bundle(events_dir=...)`` over seeds 0, 1 and 7, per
+#: registered fault-free fleet scenario and routing policy.  A change to
+#: admission (routing draws, batch snapshots, event emission) moves them.
+PLAN_SEEDS = (0, 1, 7)
+PLAN_DIGESTS = {
+    ("fleet-smoke", "hash"): (
+        "2b991d602223c4ef97f60f52803fe135158d1d4268f3168e395df39eea32d2f1",
+        "fb042f9ca86f523df9a49ac5977bf0cac517eb3fbcc8cb7ba37d13649dba85ca",
+    ),
+    ("fleet-smoke", "least-loaded"): (
+        "6b10e7c61d382cc9166f7f6119edf5e45189cfa1334c61cb76e77736eae898f5",
+        "be7d2bc1e7ecb1a1a683f860fc03d9b1d1e23e6dcc0cc5aaf50e82d1928621e7",
+    ),
+    ("fleet-smoke", "p2c"): (
+        "ce2f853a2f6e7eb661c316cce2d24cc4528845efc0ad0010b20194bbf4450996",
+        "09859d6cb5d2bd1951e24f3ab5bcd6836b3805a83bc059593ddbb2e1ef5a10dd",
+    ),
+    ("fleet-diurnal", "hash"): (
+        "0baccb74b3c0149276a00b560799f708303849e0363f23c498ebf400b004cadd",
+        "e7c8abfb68280928e2411c0fbd11883d8d6a05309cbdee193cd6fff875e138d0",
+    ),
+    ("fleet-diurnal", "least-loaded"): (
+        "5d2fea4442091d2a89e1c7dba30e408ba57ca8b88d7b7d8d891116c29bc60f4c",
+        "5305bd548959db7d254144a07c3910a1d9db771be2e0f53e2cf71198c52ccbeb",
+    ),
+    ("fleet-diurnal", "p2c"): (
+        "52da6716b758ba6c25d4f6c935ac9125a312929f4fad0425a99eced5efeaa52e",
+        "d471c7bd0e361f4718c9d04908f890e0ea323cbba5370484df9c9a70533fb180",
+    ),
+    ("fleet-bursty", "hash"): (
+        "f5e249c7e16b9bae04121e1b5853ea058e1c5aa59e78bcf19338252479b7f19d",
+        "23e2f393bf283797a0b032ffc7c66b21dfd766bd31ddf531e31aff312f313a06",
+    ),
+    ("fleet-bursty", "least-loaded"): (
+        "c057edfa1ba16c23ce4c89ab098280151ec7bd89596926565f4e3f50acbaf31a",
+        "2e74ae05aa3d54f4ff9c76d73eadcce139ae9efb32d2c1eba22837a37dde2d25",
+    ),
+    ("fleet-bursty", "p2c"): (
+        "b9c5283f602ec9738a0f4d77d324c35b704777b8a1c655f4c3af983e88adf9a4",
+        "2ccf5ae68e63a31e5927c88256bd73786bec05d364c2d72bd5254ddd6fb97f27",
+    ),
+    ("fleet-hot-shard", "hash"): (
+        "0367383d750939b8d95152fb4cbee4b3caf26d050c89570ad2fe1f43a0822c07",
+        "ebe74e882e05ae40f093d2020f56ccfa9c04406ef545c708da8288359a4c90b0",
+    ),
+    ("fleet-hot-shard", "least-loaded"): (
+        "3831a260458a7a7104853dcc5bc37429f77f28892c2c18a0739fc22540032fec",
+        "27dc689c5ccd94ac43319835b859a70fa89b0457c27ecc71b488e254943dbd60",
+    ),
+    ("fleet-hot-shard", "p2c"): (
+        "a577c3f44044e0b8645f9ff14b5d69073270f02bd42e55e810424471e36c8820",
+        "b9b852dce1f5f39c9e5d6072f2321109aea3c2c405ce6ec2a87b49ccd7f9fd3f",
+    ),
+    ("fleet-multi-tenant", "hash"): (
+        "8c4e79b5a7e4d59210862b93d83c58d02ea2979d68fc3c589b7c8be4d1751442",
+        "1fcbf3ceadbb6680049eb7c445ad32dbc07be8a1abb8fcb9d43e12d02ce3c577",
+    ),
+    ("fleet-multi-tenant", "least-loaded"): (
+        "eade5aec70949e2347da95890520b750c36a1df0bc915b006b467aa2e767f061",
+        "0f7575fc360efab0fc2b3ed91f04e2b13ff0b026267514dd9afe0c8fad6540ad",
+    ),
+    ("fleet-multi-tenant", "p2c"): (
+        "3a44c4fa2a6f60eba60d8264478a675bb7e81d547cd111eb997a3435b96fa210",
+        "fcb37650715f000503ab09d3010a56cef5f14d57e86c6e50430a22a50fdb0523",
+    ),
+}
+
+
+class TestDispatchPlans:
+    def test_every_fault_free_scenario_is_pinned(self):
+        fault_free = {
+            name for name, scenario in FLEET_SCENARIOS.items()
+            if not scenario.faults
+        }
+        assert {name for name, _ in PLAN_DIGESTS} == fault_free
+
+    @pytest.mark.parametrize("name, policy", sorted(PLAN_DIGESTS))
+    def test_plans_and_admission_logs_match_pinned_digests(
+        self, tmp_path, name, policy
+    ):
+        scenario = dataclasses.replace(
+            get_fleet_scenario(name), policy=policy, seeds=PLAN_SEEDS
+        )
+        plans, _ = Fleet(scenario).plan_bundle(events_dir=tmp_path)
+        logs = hashlib.sha256()
+        for seed in PLAN_SEEDS:
+            logs.update(
+                (tmp_path / f"{name}-admission-seed{seed}.jsonl").read_bytes()
+            )
+        assert (
+            hashlib.sha256(repr(plans).encode()).hexdigest(),
+            logs.hexdigest(),
+        ) == PLAN_DIGESTS[name, policy]
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +532,7 @@ class TestFleetCLI:
         assert "shard0" in out and "shard1" in out
         assert store.exists()
         capsys.readouterr()
-        assert main(["campaign", "replay", str(store)]) == 0
+        assert main(["replay", str(store)]) == 0
         assert "fleet-smoke" in capsys.readouterr().out
 
     def test_fleet_run_scaling_flags(self, capsys, tmp_path):

@@ -1,9 +1,12 @@
 """End-to-end integration tests: cross-scheduler invariants on one workload."""
 
+from statistics import fmean
+
 import pytest
 
 from repro.apps import BENCHMARKS
-from repro.experiments.runner import SYSTEMS, run_sequence
+from repro.campaign import simulate_run
+from repro.experiments.runner import SYSTEMS
 from repro.workloads import Condition, WorkloadGenerator
 
 WORKLOAD = WorkloadGenerator(11).sequence(Condition.STRESS, n_apps=10)
@@ -11,7 +14,7 @@ WORKLOAD = WorkloadGenerator(11).sequence(Condition.STRESS, n_apps=10)
 
 @pytest.fixture(scope="module")
 def results():
-    return {name: run_sequence(name, WORKLOAD) for name in SYSTEMS}
+    return {name: simulate_run(name, WORKLOAD) for name in SYSTEMS}
 
 
 class TestEveryScheduler:
@@ -21,7 +24,7 @@ class TestEveryScheduler:
 
     @pytest.mark.parametrize("system", list(SYSTEMS))
     def test_responses_positive_and_bounded(self, results, system):
-        samples = results[system].responses.samples_ms
+        samples = results[system].stats.response_times_ms()
         assert all(0 < s < 10_000_000 for s in samples)
 
     @pytest.mark.parametrize("system", list(SYSTEMS))
@@ -39,7 +42,10 @@ class TestEveryScheduler:
 
 class TestSystemOrdering:
     def test_paper_ordering_under_stress(self, results):
-        means = {name: results[name].responses.mean() for name in SYSTEMS}
+        means = {
+            name: fmean(results[name].stats.response_times_ms())
+            for name in SYSTEMS
+        }
         assert means["VersaSlot-BL"] < means["VersaSlot-OL"]
         assert means["VersaSlot-OL"] < means["Nimblock"]
         assert means["Nimblock"] < means["Baseline"]

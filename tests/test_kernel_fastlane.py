@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 
 from repro.apps import ApplicationInstance, BENCHMARKS, reset_instance_ids
+from repro.campaign import simulate_run
 from repro.config import DEFAULT_PARAMETERS
 from repro.core import make_versaslot
 from repro.experiments import run_fig5
-from repro.experiments.runner import SYSTEMS, run_sequence
+from repro.experiments.runner import SYSTEMS
 from repro.fpga import BoardConfig, FPGABoard
 from repro.sim import (
     AllOf,
@@ -153,9 +154,9 @@ class TestGoldenSimulation:
     @pytest.mark.parametrize("system", list(SYSTEMS))
     def test_per_system_responses_bit_identical(self, golden, system):
         arrivals = WorkloadGenerator(21).sequence(Condition.STRESS, n_apps=8)
-        result = run_sequence(system, arrivals)
+        result = simulate_run(system, arrivals)
         expected = golden["systems"][system]
-        assert result.responses.samples_ms == expected["samples_ms"]
+        assert result.stats.response_times_ms() == expected["samples_ms"]
         assert result.stats.pr_count == expected["pr_count"]
         assert result.stats.preemptions == expected["preemptions"]
         assert result.stats.launches == expected["launches"]

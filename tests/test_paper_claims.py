@@ -19,7 +19,6 @@ from repro.experiments.fig5 import CONDITIONS, run_fig5
 from repro.experiments.fig6 import TAIL_CONDITIONS, run_fig6
 from repro.experiments.fig7 import PAPER_FIG7, run_fig7, run_fig7_dynamic
 from repro.experiments.fig8 import run_fig8
-from repro.experiments.runner import record_to_run_result
 from repro.workloads import Condition, WorkloadSpec
 
 SEQUENCES = 2
@@ -41,12 +40,9 @@ def fig8_results():
 
 
 def _paired_runs(scenario, first, second):
-    """Per-sequence (first, second) RunResult pairs of a campaign."""
+    """Per-sequence (first, second) record pairs of a campaign."""
     grouped = group_by_system(CampaignRunner().run(scenario))
-    return [
-        (record_to_run_result(a), record_to_run_result(b))
-        for a, b in zip(grouped[first], grouped[second])
-    ]
+    return list(zip(grouped[first], grouped[second]))
 
 
 # ---------------------------------------------------------------- Fig. 5
@@ -149,8 +145,8 @@ def test_claim_dual_core_decoupling_cuts_blocked_launches():
         "Nimblock", "VersaSlot-OL",
     )
     for single, dual in pairs:
-        assert single.responses.mean() / dual.responses.mean() > 1.0
-        assert dual.stats.launch_blocked < single.stats.launch_blocked
+        assert single.mean_response_ms() / dual.mean_response_ms() > 1.0
+        assert dual.counters["launch_blocked"] < single.counters["launch_blocked"]
 
 
 def test_claim_big_little_layout_beats_only_little():
@@ -166,8 +162,8 @@ def test_claim_big_little_layout_beats_only_little():
         "VersaSlot-OL", "VersaSlot-BL",
     )
     for only_little, big_little in pairs:
-        assert only_little.responses.mean() / big_little.responses.mean() > 1.0
-        assert big_little.stats.pr_count < only_little.stats.pr_count
+        assert only_little.mean_response_ms() / big_little.mean_response_ms() > 1.0
+        assert big_little.counters["pr_count"] < only_little.counters["pr_count"]
 
 
 @pytest.mark.parametrize("batch", [5, 15, 30])

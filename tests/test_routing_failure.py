@@ -1,11 +1,9 @@
 """Routing edge cases under shard failure.
 
-``route_live`` is the failure-aware admission surface the supervised
+``route(arrival, loads, live)`` is the admission surface the supervised
 control plane routes through: it must degenerate gracefully to a single
 surviving shard, keep the consistent-hash ring's remap-stability promise
-when shards leave and rejoin, draw the *same* RNG sequence as ``route``
-when every shard is live (so fault-free supervised plans stay
-bit-identical to frozen plans), and make every decision independent of
+when shards leave and rejoin, and make every decision independent of
 ``PYTHONHASHSEED``.
 """
 
@@ -50,34 +48,13 @@ class TestSingleSurvivingShard:
         router = _policy(name)
         loads = (100.0, 5.0, 30.0, 0.0)
         for arrival in _arrivals():
-            assert router.route_live(arrival, loads, (2,)) == 2
+            assert router.route(arrival, loads, (2,)) == 2
 
     @pytest.mark.parametrize("name", policy_names())
     def test_empty_live_set_rejected(self, name):
         router = _policy(name)
         with pytest.raises(ValueError, match="at least one live shard"):
-            router.route_live(_arrivals(1)[0], (0.0,) * 4, ())
-
-
-class TestAllLiveEquivalence:
-    """With every shard live, route_live == route — decisions AND draws."""
-
-    @pytest.mark.parametrize("name", policy_names())
-    def test_same_decisions_and_rng_state(self, name):
-        frozen = _policy(name)
-        live_router = _policy(name)
-        live = tuple(range(4))
-        loads = [0.0] * 4
-        for arrival in _arrivals():
-            expected = frozen.route(arrival, tuple(loads))
-            got = live_router.route_live(arrival, tuple(loads), live)
-            assert got == expected
-            loads[got] += 1.0
-        # The RNG families must have advanced identically: the next
-        # unconstrained decision still agrees.
-        probe = _arrivals(1)[0]
-        assert frozen.route(probe, tuple(loads)) == \
-            live_router.route_live(probe, tuple(loads), live)
+            router.route(_arrivals(1)[0], (0.0,) * 4, ())
 
 
 class TestP2CTieBreak:
@@ -89,7 +66,7 @@ class TestP2CTieBreak:
         for arrival in _arrivals():
             first = rng_copy.randrange(4)
             rng_copy.randrange(4)  # the discarded second draw
-            assert router.route_live(arrival, (7.0,) * 4, (0, 1, 2, 3)) == first
+            assert router.route(arrival, (7.0,) * 4, (0, 1, 2, 3)) == first
 
     def test_draws_come_from_live_index_space(self):
         # With shards {1, 3} live the draws index the 2-element live
@@ -98,7 +75,7 @@ class TestP2CTieBreak:
         router = _policy("p2c")
         seen = set()
         for arrival in _arrivals(40):
-            shard = router.route_live(arrival, (0.0,) * 4, (1, 3))
+            shard = router.route(arrival, (0.0,) * 4, (1, 3))
             assert shard in (1, 3)
             seen.add(shard)
         assert seen == {1, 3}
@@ -110,11 +87,11 @@ class TestRingRemapStability:
         loads = (0.0,) * 4
         all_live = (0, 1, 2, 3)
         arrivals = _arrivals()
-        before = {a.app_name: router.route_live(a, loads, all_live)
+        before = {a.app_name: router.route(a, loads, all_live)
                   for a in arrivals}
         dead = before[arrivals[0].app_name]
         survivors = tuple(s for s in all_live if s != dead)
-        after = {a.app_name: router.route_live(a, loads, survivors)
+        after = {a.app_name: router.route(a, loads, survivors)
                  for a in arrivals}
         for app, owner in before.items():
             if owner != dead:
@@ -128,21 +105,25 @@ class TestRingRemapStability:
         loads = (0.0,) * 4
         all_live = (0, 1, 2, 3)
         arrivals = _arrivals()
-        before = {a.app_name: router.route_live(a, loads, all_live)
+        before = {a.app_name: router.route(a, loads, all_live)
                   for a in arrivals}
         # Kill shard 0, then bring it back: ownership is memoryless in
         # the live set, so the rejoin restores the original map exactly.
-        router.route_live(arrivals[0], loads, (1, 2, 3))
-        after = {a.app_name: router.route_live(a, loads, all_live)
+        router.route(arrivals[0], loads, (1, 2, 3))
+        after = {a.app_name: router.route(a, loads, all_live)
                  for a in arrivals}
         assert after == before
 
     def test_ring_walk_matches_route_for_live_owners(self):
+        # A key whose ring owner is live routes to it, whichever other
+        # shards are live beside it.
         router = _policy("hash")
         loads = (0.0,) * 4
         for arrival in _arrivals():
-            owner = router.route(arrival, loads)
-            assert router.route_live(arrival, loads, (owner,)) == owner
+            owner = router.route(arrival, loads, (0, 1, 2, 3))
+            for other in range(4):
+                live = tuple(sorted({owner, other}))
+                assert router.route(arrival, loads, live) == owner
 
 
 class TestHashSeedIndependence:
@@ -158,7 +139,7 @@ class TestHashSeedIndependence:
             "for name in policy_names():\n"
             "    router = get_policy("
             "name, 4, SeededStreams(11).spawn('fleet-router'))\n"
-            "    out.append([router.route_live(a, (0.0,) * 4, (0, 2, 3))"
+            "    out.append([router.route(a, (0.0,) * 4, (0, 2, 3))"
             " for a in arrivals])\n"
             "print(out)\n"
         )
@@ -170,6 +151,8 @@ class TestHashSeedIndependence:
         return result.stdout
 
     def test_route_live_pinned_across_hash_seeds(self):
+        """Routing over a live subset decides the same under every
+        ``PYTHONHASHSEED``."""
         outputs = {s: self._decisions(s) for s in ("0", "4242", "random")}
         assert outputs["0"] == outputs["4242"] == outputs["random"]
 

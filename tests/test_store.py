@@ -12,13 +12,14 @@ The store contract under test, end to end:
   the store already holds, re-executes the rest, and ends bit-identical
   to an uninterrupted run — serial and process backends;
 * reports fold as *incremental* projections (only past-watermark
-  notifications are consumed, counted and asserted) and match both a
-  full rebuild and the batch reference implementations exactly;
+  notifications are consumed, counted and asserted) that match a full
+  rebuild exactly, and the replayed figures are pinned by sha256;
 * a plain JSONL results file is never a store: durable runs and store
   commands refuse it with exit 2 and write nothing, and ``store export``
   converts between the two formats.
 """
 
+import hashlib
 import json
 import os
 import sqlite3
@@ -33,8 +34,6 @@ from repro.campaign import (
     SerialBackend,
 )
 from repro.campaign.results import results_header
-from repro.experiments import Fig5Result, fig6_from_records
-from repro.experiments.fig5 import reductions_from_records
 from repro.fleet import Fleet, get_fleet_scenario
 from repro.metrics.report import summarize_records
 from repro.store import (
@@ -400,30 +399,6 @@ class TestProjections:
         restored.restore_state(state)
         assert restored.render() == projection.render()
 
-    def test_figure_projection_matches_batch_figures(self, campaign_records):
-        _, records = campaign_records
-        projection = FigureProjection()
-        for record in records:
-            projection.fold_record(record)
-        assert projection.render_fig5() == \
-            Fig5Result.from_records(records).reductions
-        assert projection.render_fig6() == \
-            fig6_from_records(records).relative_tails
-
-    def test_figure_projection_matches_batch_error_paths(
-        self, campaign_records
-    ):
-        _, records = campaign_records
-        no_baseline = [r for r in records if r.system != "Baseline"]
-        projection = FigureProjection()
-        for record in no_baseline:
-            projection.fold_record(record)
-        with pytest.raises(KeyError) as from_projection:
-            projection.render_fig5()
-        with pytest.raises(KeyError) as from_batch:
-            reductions_from_records(no_baseline)
-        assert str(from_projection.value) == str(from_batch.value)
-
     def test_fleet_rollup_projection_matches_fleet_run(self, tmp_path):
         scenario = get_fleet_scenario("fleet-smoke")
         path = tmp_path / "fleet.sqlite"
@@ -506,6 +481,59 @@ class TestProjections:
                 assert shared.get_projection(name) == \
                     apart.get_projection(name)
             assert verify_store_projections(shared) == []
+
+
+#: sha256 of the figure's field plus ``rendered`` in ``replay --figure F
+#: --json`` over one 4-condition campaign (``campaign run fig5-<condition>
+#: --apps 4 --sequences 2``, all four appended to one results file),
+#: written digest-only and with ``--raw-samples``.  Fig. 5 means are
+#: bit-identical on both; Fig. 6 tails are digest quantiles on one and
+#: exact percentiles on the other.
+FIGURE_DIGESTS = {
+    ("digest", "fig5"): "f5f62f1f8aa9fc3f4beaf5d121edeff381115cb2abb168ce61992f4b1d89b24d",
+    ("digest", "fig6"): "fe9dfd9b9962b0bca457eb74492f72201a3c3cd7f031a0ead776570925bdcff8",
+    ("raw", "fig5"): "f5f62f1f8aa9fc3f4beaf5d121edeff381115cb2abb168ce61992f4b1d89b24d",
+    ("raw", "fig6"): "776f07ce4f3d74c27dfdaff2d1574cef2aabcbcbcb9b6a9ebf6f34afd88773a1",
+}
+
+
+@pytest.fixture(scope="module")
+def figure_campaigns(tmp_path_factory):
+    """``{"digest"|"raw": results path}`` of the pinned 4-condition campaign."""
+    from repro.cli import main
+
+    directory = tmp_path_factory.mktemp("figures")
+    paths = {}
+    for samples in ("digest", "raw"):
+        path = paths[samples] = directory / f"{samples}.jsonl"
+        for condition in ("loose", "standard", "stress", "real-time"):
+            argv = [
+                "campaign", "run", f"fig5-{condition}", "--apps", "4",
+                "--sequences", "2", "--out", str(path),
+            ]
+            assert main(argv + (["--raw-samples"] if samples == "raw" else [])) == 0
+    return paths
+
+
+class TestFigurePins:
+    @pytest.mark.parametrize("samples, figure", sorted(FIGURE_DIGESTS))
+    def test_replayed_figure_matches_pinned_digest(
+        self, capsys, figure_campaigns, samples, figure
+    ):
+        from repro.cli import main
+
+        path = str(figure_campaigns[samples])
+        capsys.readouterr()
+        assert main(["replay", path, "--figure", figure, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        field = "reductions" if figure == "fig5" else "relative_tails"
+        text = json.dumps(
+            {key: payload[key] for key in (field, "rendered")}, sort_keys=True
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            FIGURE_DIGESTS[samples, figure]
+        assert main(["replay", path, "--figure", figure]) == 0
+        assert capsys.readouterr().out == payload["rendered"] + "\n"
 
 
 class TestStoreCli:

@@ -620,19 +620,19 @@ class TestTelemetryCli:
             workload=WorkloadSpec(Condition.LOOSE, n_apps=2),
             events_path=str(tmp_path / "cli.jsonl"),
         ))
+        # `repro replay` sniffs event logs and re-derives the report
         assert cli_main(
-            ["telemetry", "summarize", str(tmp_path / "cli.jsonl"), "--json"]
+            ["replay", str(tmp_path / "cli.jsonl"), "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["counters"]["completions"] == 2
         assert payload["response_digest"] == record.response_digest
-        # `repro replay` sniffs event logs and re-derives the same report
         assert cli_main(["replay", str(tmp_path / "cli.jsonl")]) == 0
         out = capsys.readouterr().out
         assert "Telemetry counters" in out and "completions" in out
 
     def test_telemetry_summarize_missing_file(self, capsys):
-        assert cli_main(["telemetry", "summarize", "/nope/missing.jsonl"]) == 2
+        assert cli_main(["replay", "/nope/missing.jsonl"]) == 2
 
     def test_replay_event_log_with_figure_is_an_error(self, tmp_path, capsys):
         execute_cell(CampaignCell(
@@ -650,29 +650,43 @@ class TestTelemetryCli:
 
     def test_raw_sample_pool_stays_exact_with_an_empty_record(self):
         """One zero-completion shard must not demote a --raw-samples
-        pool to bounded-error digests."""
-        from repro.campaign.results import RunRecord, merged_response_summary
+        pool to bounded-error digests: the summary and fleet rollup folds
+        pool exact samples until a digest-only record arrives."""
+        from repro.campaign.results import RunRecord
+        from repro.store import FleetRollupProjection, RecordSummaryProjection
 
         raw = RunRecord(
             scenario="s", system="FCFS", condition="c", sequence_index=0,
-            seed=1, n_apps=2, makespan_ms=2.0,
+            seed=1, n_apps=2, makespan_ms=2.0, shard=0,
             response_times_ms=[1.0, 2.0],
             response_digest=digest_of([1.0, 2.0]).to_dict(),
         )
         empty = RunRecord(
             scenario="s", system="FCFS", condition="c", sequence_index=0,
-            seed=1, n_apps=3, makespan_ms=0.0,
+            seed=1, n_apps=3, makespan_ms=0.0, shard=1,
         )
-        pooled = merged_response_summary([raw, empty])
-        assert pooled.samples_ms == [1.0, 2.0]  # exact ResponseStats pool
         digest_only = RunRecord(
             scenario="s", system="FCFS", condition="c", sequence_index=0,
-            seed=1, n_apps=1, makespan_ms=3.0,
+            seed=1, n_apps=1, makespan_ms=3.0, shard=1,
             response_digest=digest_of([3.0]).to_dict(),
         )
-        merged = merged_response_summary([raw, digest_only])
-        assert not hasattr(merged, "samples_ms")  # digest path
-        assert merged.count == 3
+        exact = ResponseStats()
+        exact.extend([1.0, 2.0])
+        merged = digest_of([1.0, 2.0])
+        merged.merge(digest_of([3.0]))
+        # the exact percentile is not what a digest would report
+        assert exact.p95() != digest_of([1.0, 2.0]).p95()
+
+        summary, rollup = RecordSummaryProjection(), FleetRollupProjection()
+        for records, pooled in (((raw, empty), exact), ((digest_only,), merged)):
+            for record in records:
+                summary.fold_record(record)
+                rollup.fold_record(record)
+            (row,) = summary.rows()
+            _, overall = rollup.render_rollups()
+            expected = [pooled.mean(), pooled.p95(), pooled.p99()]
+            assert row[3:6] == expected
+            assert [overall.mean_ms, overall.p95_ms, overall.p99_ms] == expected
 
     def test_campaign_run_raw_samples_flag(self, tmp_path, capsys):
         out = tmp_path / "raw.jsonl"

@@ -230,7 +230,7 @@ class TestFailurePath:
         assert path.exists()
         assert "DIVERGENCE" in err
         assert "repro persisted" in err
-        assert "campaign replay" in err
+        assert "python -m repro replay" in err
         # The persisted repro reproduces the failure under the buggy kernel
         # and passes once the kernel is fixed (i.e. with the real kernels).
         assert not replay_repro(path, oracle).ok
@@ -302,7 +302,7 @@ class TestVerifyCLI:
         """Satellite regression: a fuzzer repro is a one-command replay."""
         case = make_case(n_apps=2)
         path = save_repro(tmp_path / "repro-fuzz-0.json", case, None)
-        code = main(["campaign", "replay", str(path)])
+        code = main(["replay", str(path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "kernels agree" in out
@@ -320,8 +320,8 @@ class TestVerifyCLI:
         ])
         assert code == 0
         capsys.readouterr()
-        assert main(["campaign", "replay", str(store_path)]) == 0
+        assert main(["replay", str(store_path)]) == 0
         assert "records" in capsys.readouterr().out
 
     def test_campaign_replay_missing_file(self, capsys):
-        assert main(["campaign", "replay", "does/not/exist.json"]) == 2
+        assert main(["replay", "does/not/exist.json"]) == 2

@@ -8,7 +8,7 @@ archived workloads silently stop reproducing published numbers.
 import pytest
 
 from repro.apps import reset_instance_ids
-from repro.experiments.runner import run_sequence
+from repro.campaign import simulate_run
 from repro.workloads import (
     Condition,
     Phase,
@@ -72,11 +72,11 @@ class TestReplayDrivesIdenticalSimulation:
         )
         replayed = loads(dumps(arrivals))
         reset_instance_ids()
-        original_result = run_sequence("Nimblock", arrivals)
+        original_result = simulate_run("Nimblock", arrivals)
         reset_instance_ids()
-        replayed_result = run_sequence("Nimblock", replayed)
-        assert replayed_result.responses.samples_ms == (
-            original_result.responses.samples_ms
+        replayed_result = simulate_run("Nimblock", replayed)
+        assert replayed_result.stats.response_times_ms() == (
+            original_result.stats.response_times_ms()
         )
         assert replayed_result.makespan_ms == original_result.makespan_ms
         assert replayed_result.stats.pr_count == original_result.stats.pr_count
