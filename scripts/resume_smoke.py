@@ -14,7 +14,11 @@ The CI gate behind the durable event store's core promise:
    between the clean and the resumed store, and that both stores
    ``store export`` to byte-identical JSONL results files.  Projection
    watermarks are left out: a kill can leave the two stores with
-   different snapshot counts.
+   different checkpoint-marker counts;
+5. rerun the clean store with ``--resume`` and a different ``--shards``:
+   its records belong to another campaign, so the run must exit 2 with
+   one ``error:`` line and leave the store's ``store export`` bytes
+   unchanged.
 
 The serial clean run against the pooled interrupted-and-resumed one also
 checks serial-vs-``--jobs`` identity under SIGKILL.
@@ -169,7 +173,7 @@ def main() -> int:
         "--shards", "6", "--apps", str(args.apps), "--snapshot-every", "1",
     ]
 
-    print(f"[1/4] clean run -> {clean_out}")
+    print(f"[1/5] clean run -> {clean_out}")
     clean = subprocess.run(
         base + ["--out", str(clean_out)], text=True, capture_output=True
     )
@@ -179,7 +183,7 @@ def main() -> int:
         return 1
     (workdir / "clean.stdout").write_text(clean.stdout)
 
-    print(f"[2/4] interrupted run (--jobs 2, SIGKILL mid-campaign) -> "
+    print(f"[2/5] interrupted run (--jobs 2, SIGKILL mid-campaign) -> "
           f"{resumed_out}")
     interrupted, workers = interrupted_run(
         base + ["--jobs", "2", "--out", str(resumed_out)],
@@ -205,7 +209,7 @@ def main() -> int:
                   file=sys.stderr)
             return 1
 
-    print("[3/4] resume (--jobs 2)")
+    print("[3/5] resume (--jobs 2)")
     resume = subprocess.run(
         base + ["--jobs", "2", "--out", str(resumed_out), "--resume"],
         text=True, capture_output=True,
@@ -218,7 +222,7 @@ def main() -> int:
     if "resume:" not in resume.stdout:
         fail(workdir, "resume accounting line", clean.stdout, resume.stdout)
 
-    print("[4/4] compare exported bytes / rollups / projection report + "
+    print("[4/5] compare exported bytes / rollups / projection report + "
           "states")
     clean_export = clean_out.with_suffix(".jsonl")
     resumed_export = resumed_out.with_suffix(".jsonl")
@@ -251,8 +255,26 @@ def main() -> int:
     for store in (clean_out, resumed_out):
         run_cli(["store", "verify", str(store)])
 
+    print("[5/5] resume with another --shards must be refused")
+    # The later --shards wins: the same campaign cut into 4 shards.
+    refused = subprocess.run(
+        base + ["--out", str(clean_out), "--resume", "--shards", "4"],
+        text=True, capture_output=True,
+    )
+    errors = refused.stderr.splitlines()
+    if (refused.returncode != 2 or len(errors) != 1
+            or not errors[0].startswith("error: ")):
+        fail(workdir, f"refusal of a resume with --shards 4 (exit "
+             f"{refused.returncode})", "exit 2 and one error: line",
+             refused.stderr)
+    after_export = workdir / "clean-after-refusal.jsonl"
+    run_cli(["store", "export", str(clean_out), str(after_export)])
+    if after_export.read_bytes() != clean_export.read_bytes():
+        fail(workdir, "exported bytes after the refused resume",
+             clean_export.read_text(), after_export.read_text())
+
     print(f"resume smoke OK: interrupted at {partial}/{total} records, "
-          "resumed run byte-identical")
+          "resumed run byte-identical, mismatched resume refused")
     return 0
 
 

@@ -296,10 +296,7 @@ def execute_cell(cell: CampaignCell) -> RunRecord:
     finally:
         bus.close()
     stats = outcome.stats
-    if cell.workload is not None:
-        condition = cell.workload.condition.label
-    else:
-        condition = cell.condition_label or "explicit"
+    _, condition = cell_outline(cell)
     tracker = trackers["utilization"]
     occupied = tracker.mean_occupied_utilization()
     fabric = tracker.mean_fabric_utilization()
@@ -361,17 +358,13 @@ class SerialBackend:
         return [execute_cell(cell) for cell in cells]
 
 
-def failure_record(cell: CampaignCell, error: str) -> RunRecord:
-    """A sample-free :class:`RunRecord` marking a cell whose worker failed.
+def cell_outline(cell: CampaignCell) -> Tuple[int, str]:
+    """``(n_apps, condition)`` of the record ``cell`` yields, from its spec.
 
-    Surfacing the failure as a record (``record.failed`` is True) instead
-    of raising keeps one crashed or hung cell from discarding the whole
-    campaign: every healthy record still persists, and the failed cell is
-    identifiable and individually re-runnable from the store.
+    Never resolves arrivals: regenerating the sequence re-runs the very
+    code that may have crashed or hung a worker, and resume checks every
+    persisted record against its cell before any cell runs.
     """
-    # Never resolve_arrivals() here: regenerating the sequence re-runs the
-    # very code that may have crashed or hung the worker, this time in the
-    # orchestrating process.  The cheap spec metadata is enough.
     if cell.arrivals is not None:
         n_apps = len(cell.arrivals)
     elif cell.workload is not None:
@@ -382,6 +375,18 @@ def failure_record(cell: CampaignCell, error: str) -> RunRecord:
         condition = cell.workload.condition.label
     else:
         condition = cell.condition_label or "explicit"
+    return n_apps, condition
+
+
+def failure_record(cell: CampaignCell, error: str) -> RunRecord:
+    """A sample-free :class:`RunRecord` marking a cell whose worker failed.
+
+    Surfacing the failure as a record (``record.failed`` is True) instead
+    of raising keeps one crashed or hung cell from discarding the whole
+    campaign: every healthy record still persists, and the failed cell is
+    identifiable and individually re-runnable from the store.
+    """
+    n_apps, condition = cell_outline(cell)
     return RunRecord(
         scenario=cell.scenario,
         system=cell.system,

@@ -19,10 +19,10 @@ class CampaignRunner:
     (or path) is given, every produced record is appended there so figures
     can later be replayed without re-simulating
     (:func:`~repro.store.resolve_store` maps a path: SQLite store or plain
-    JSONL results file).  ``snapshot_every`` checkpoints a resumable
-    :class:`~repro.store.snapshot.CampaignSnapshot` into the SQLite store
-    every N completed cells, and ``resume`` skips cells the store already
-    holds a successful record for.
+    JSONL results file).  ``snapshot_every`` appends records to the
+    SQLite store in chunks of N cells, each followed by a checkpoint
+    marker, and ``resume`` skips cells the store already holds a
+    successful record for (after checking the record is this campaign's).
     """
 
     def __init__(

@@ -96,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--snapshot-every", type=int, default=None, metavar="N",
-            help="checkpoint a resumable campaign snapshot into the SQLite "
-                 "store every N completed cells (default: off; --resume "
-                 f"implies {DEFAULT_SNAPSHOT_EVERY})",
+            help="append records to the SQLite store in chunks of N cells, "
+                 "each followed by a checkpoint marker (default: off; "
+                 f"--resume implies {DEFAULT_SNAPSHOT_EVERY})",
         )
 
     fig5 = sub.add_parser("fig5", help="relative response-time reduction")
@@ -167,27 +167,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     store = sub.add_parser(
         "store",
-        help="inspect and maintain durable event stores (notification "
-             "logs, snapshots, incremental projections)",
+        help="inspect and maintain durable stores (record logs, "
+             "checkpoint markers, projections)",
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_inspect = store_sub.add_parser(
-        "inspect", help="summarize a store's notification log and snapshots"
+        "inspect", help="summarize a store's notification log and progress"
     )
     store_inspect.add_argument("path", help="SQLite store")
     store_inspect.add_argument("--json", action="store_true",
                                help="machine-readable JSON instead of a table")
     store_verify = store_sub.add_parser(
         "verify",
-        help="audit a store: log shape, snapshot consistency, and every "
-             "incremental projection against a full rebuild",
+        help="audit a store: log shape, checkpoint markers backed by "
+             "records, and every projection against a full rebuild",
     )
     store_verify.add_argument("path", help="SQLite store")
     store_export = store_sub.add_parser(
         "export",
-        help="copy a store or results file into a new path (format "
-             "conversion: jsonl <-> sqlite; a JSONL destination gets the "
-             "records only)",
+        help="copy the records of a store or results file into a new path "
+             "(format conversion: jsonl <-> sqlite)",
     )
     store_export.add_argument(
         "path", help="source SQLite store or JSONL results file"
@@ -195,15 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_export.add_argument(
         "dest", help="new or empty destination: SQLite for a .sqlite/.db "
                      "path, else a JSONL results file"
-    )
-    store_ingest = store_sub.add_parser(
-        "ingest",
-        help="append the events of telemetry JSONL log(s) to a store's "
-             "notification log",
-    )
-    store_ingest.add_argument("path", help="destination SQLite store")
-    store_ingest.add_argument(
-        "events", nargs="+", help="telemetry event log(s) written by --events-dir"
     )
 
     telemetry = sub.add_parser(
@@ -350,12 +340,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return _operator_error(exc)
     print(summarize_records(records))
     outcome = runner.last_outcome
-    if outcome is not None and outcome.resumed:
+    if outcome.resumed:
         print(
             f"\nresume: {outcome.resumed} cell(s) already persisted, "
             f"{outcome.executed} executed this run"
         )
-    print(f"\n{len(records)} records appended to {store.path}")
+    print(f"\n{outcome.executed} records appended to {store.path}")
     if args.events_dir:
         print(f"telemetry event logs written under {args.events_dir}")
     return 0
@@ -419,13 +409,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     except StoreFormatError as exc:
         return _operator_error(exc)
     print(result.rollup.table())
+    executed = len(result.records) - result.resumed_cells
     if result.resumed_cells:
         print(
             f"\nresume: {result.resumed_cells} shard cell(s) already "
-            f"persisted, {len(result.records) - result.resumed_cells} "
-            "executed this run"
+            f"persisted, {executed} executed this run"
         )
-    print(f"\n{len(result.records)} shard records appended to {store.path}")
+    print(f"\n{executed} shard records appended to {store.path}")
     if args.events_dir:
         print(f"telemetry event logs written under {args.events_dir}")
     return 0
@@ -581,11 +571,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
             }
             if snapshot is not None:
                 summary["snapshot"] = {
-                    "completed_cells": len(snapshot.completed),
+                    "completed_cells": snapshot.completed,
                     "covered_id": snapshot.covered_id,
-                    "response_count": int(
-                        (snapshot.digest or {}).get("count", 0)
-                    ),
                 }
             if args.json:
                 print(json.dumps(summary, indent=1, sort_keys=True))
@@ -595,7 +582,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             if snapshot is not None:
                 rows.append(
                     ["latest snapshot",
-                     f"{len(snapshot.completed)} cell(s) through "
+                     f"{snapshot.completed} cell(s) through "
                      f"notification {snapshot.covered_id}"]
                 )
             else:
@@ -603,38 +590,27 @@ def _cmd_store(args: argparse.Namespace) -> int:
             for name, watermark in sorted(watermarks.items()):
                 rows.append([f"projection:{name}", f"watermark {watermark}"])
             print(format_table(
-                ["field", "value"], rows, title=f"Event store — {args.path}"
+                ["field", "value"], rows, title=f"Store — {args.path}"
             ))
             return 0
         if args.store_command == "export":
             return _export_store(args.path, args.dest)
-        if args.store_command == "ingest":
-            from .telemetry import load_events
-
-            # Every log loads before the destination opens: a bad log
-            # leaves no store behind.
-            logs = [(path, load_events(path)) for path in args.events]
-            with open_store(args.path) as store:
-                for events_path, events in logs:
-                    store.append_events(events)
-                    print(f"  {events_path}: {len(events)} event(s)")
-            total = sum(len(events) for _, events in logs)
-            print(f"ingested {total} event(s) into {args.path}")
-            return 0
     except (KeyError, ValueError) as exc:
         return _operator_error(exc)
     return 2  # pragma: no cover - argparse enforces the choices
 
 
 def _export_store(source: str, dest: str) -> int:
-    """``store export``: copy a store or results file into a new path.
+    """``store export``: copy the records of a store or results file.
 
-    A SQLite source gives its whole notification log, a JSONL results
-    file (read by the replay loader) its records.  A SQLite destination
-    takes every notification and rebuilds its projections; any other
-    destination becomes a plain results file holding the records only.
-    The destination must be new or empty: exporting into a store that
-    already holds notifications would append a second copy.
+    A SQLite source gives the records of its notification log, a JSONL
+    results file (read by the replay loader) its records; checkpoint
+    markers and legacy event rows are left out and counted, so no marker
+    ever needs its ``covered_id`` remapped.  A SQLite destination takes
+    the records and rebuilds its projections; any other destination
+    becomes a plain results file.  The destination must be new or empty:
+    exporting into a store that already holds notifications would append
+    a second copy.
     """
     from .store import KIND_RECORD, is_sqlite_path, open_store, update_projections
 
@@ -642,12 +618,13 @@ def _export_store(source: str, dest: str) -> int:
         raise FileNotFoundError(2, "No such file or directory", str(source))
     if is_sqlite_path(source):
         with open_store(source) as store:
-            entries = [(n.kind, n.payload) for n in store.select()]
+            counts = store.counts()
+            payloads = [
+                n.payload for n in store.select() if n.kind == KIND_RECORD
+            ]
     else:
-        entries = [(KIND_RECORD, r.to_dict()) for r in load_records(source)[0]]
-    counts = {"record": 0, "event": 0, "snapshot": 0}
-    for kind, _ in entries:
-        counts[kind] += 1
+        payloads = [r.to_dict() for r in load_records(source)[0]]
+        counts = {}
     if is_sqlite_path(dest):
         with open_store(dest) as store:
             held = store.max_id()
@@ -656,26 +633,21 @@ def _export_store(source: str, dest: str) -> int:
                     f"export destination {dest} already holds {held} "
                     "notification(s); export into a new path"
                 )
-            store.recorder.append(entries)
+            store.recorder.append((KIND_RECORD, p) for p in payloads)
             update_projections(store)
-        print(
-            f"exported {counts['record']} record(s), {counts['event']} "
-            f"event(s), {counts['snapshot']} snapshot(s): {source} -> {dest}"
-        )
-        return 0
-    if Path(dest).exists() and Path(dest).stat().st_size:
-        raise ValueError(
-            f"export destination {dest} is not empty; export into a new path"
-        )
-    ResultsStore(dest).write(
-        RunRecord.from_dict(payload)
-        for kind, payload in entries
-        if kind == KIND_RECORD
-    )
+        target = "a store"
+    else:
+        if Path(dest).exists() and Path(dest).stat().st_size:
+            raise ValueError(
+                f"export destination {dest} is not empty; export into a "
+                "new path"
+            )
+        ResultsStore(dest).write(RunRecord.from_dict(p) for p in payloads)
+        target = "a results file"
     print(
-        f"exported {counts['record']} record(s) to a results file, leaving "
-        f"out {counts['event']} event(s) and {counts['snapshot']} "
-        f"snapshot(s): {source} -> {dest}"
+        f"exported {len(payloads)} record(s) to {target}, leaving out "
+        f"{counts.get('event', 0)} event(s) and "
+        f"{counts.get('snapshot', 0)} snapshot(s): {source} -> {dest}"
     )
     return 0
 

@@ -1,14 +1,14 @@
-"""Durable event store: recorder, notification log, snapshots, projections.
+"""Durable store: recorder, notification log, checkpoint markers, projections.
 
-The persistence spine of the repo: every campaign record, telemetry event
-and periodic snapshot flows through one monotonically numbered
-notification log in a single-file SQLite database
-(:class:`SqliteRecorder`).  Plain ``results/*.jsonl`` files stay the
-records-only format of runs that ask for no durability
-(:class:`~repro.campaign.results.ResultsStore`).  On top of the log:
-``--resume`` via :class:`CampaignSnapshot` checkpoints
-(:mod:`repro.store.resume`) and reports as watermark-tracked incremental
-projections (:mod:`repro.store.projections`).
+The persistence spine of the repo: every campaign record and checkpoint
+marker flows through one monotonically numbered notification log in a
+single-file SQLite database (:class:`SqliteRecorder`).  Plain
+``results/*.jsonl`` files stay the records-only format of runs that ask
+for no durability (:class:`~repro.campaign.results.ResultsStore`).  On
+top of the log: ``--resume`` from the records themselves
+(:mod:`repro.store.resume`), constant-size :class:`CampaignSnapshot`
+progress markers, and reports as watermark-tracked projections
+(:mod:`repro.store.projections`).
 """
 
 from .campaign_store import (
@@ -30,7 +30,6 @@ from .projections import (
     FleetRollupProjection,
     Projection,
     RecordSummaryProjection,
-    TelemetryCounterProjection,
     default_projections,
     update_projections,
     verify_store_projections,
@@ -39,9 +38,10 @@ from .recorder import SqliteRecorder, is_sqlite_path
 from .resume import (
     DEFAULT_SNAPSHOT_EVERY,
     ExecutionOutcome,
+    ResumeMismatchError,
     execute_with_store,
 )
-from .snapshot import CampaignSnapshot, SNAPSHOT_SCHEMA, cell_key, cell_spec
+from .snapshot import CampaignSnapshot, SNAPSHOT_SCHEMA, cell_key
 
 __all__ = [
     "CampaignSnapshot",
@@ -57,13 +57,12 @@ __all__ = [
     "Notification",
     "Projection",
     "RecordSummaryProjection",
+    "ResumeMismatchError",
     "SNAPSHOT_SCHEMA",
     "SqliteRecorder",
     "StoreFormatError",
-    "TelemetryCounterProjection",
     "as_campaign_store",
     "cell_key",
-    "cell_spec",
     "default_projections",
     "execute_with_store",
     "is_sqlite_path",

@@ -1,14 +1,13 @@
-"""The high-level campaign store: records, events and snapshots on one log.
+"""The high-level campaign store: records and checkpoint markers on one log.
 
 :class:`CampaignStore` is what the persistence layer hands the campaign
 runner and the fleet: a :class:`~repro.store.recorder.SqliteRecorder`
 wrapped in the domain vocabulary — append :class:`RunRecord` batches,
-ingest telemetry events, checkpoint :class:`CampaignSnapshot`\\ s, read
-everything back as one ordered notification log.  It is
+append checkpoint markers, read the log back in order.  It is
 ``ResultsStore``-compatible (``extend`` / ``load`` / ``path``), so every
-existing call site keeps working while gaining snapshots, resume and
-incremental projections.  :func:`resolve_store` is the one place a
-``store=`` argument (path or object) becomes the store a run writes to.
+existing call site keeps working while gaining resume and checkpoints.
+:func:`resolve_store` is the one place a ``store=`` argument (path or
+object) becomes the store a run writes to.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .notification import KIND_EVENT, KIND_RECORD, KIND_SNAPSHOT, Notification
+from .notification import KIND_RECORD, KIND_SNAPSHOT, Notification
 from .recorder import SqliteRecorder, is_sqlite_path
-from .snapshot import CampaignSnapshot
+from .snapshot import CampaignSnapshot, cell_key
 
 
 class CampaignStore:
@@ -64,49 +63,36 @@ class CampaignStore:
             (KIND_RECORD, record.to_dict()) for record in records
         )
 
-    def append_events(self, events: Iterable) -> List[int]:
-        """Flow typed telemetry events through the notification log."""
-        return self.recorder.append(
-            (KIND_EVENT, event.to_dict()) for event in events
-        )
-
     def record_snapshot(self, snapshot: CampaignSnapshot) -> int:
         (nid,) = self.recorder.append([(KIND_SNAPSHOT, snapshot.to_dict())])
         return nid
 
     def latest_snapshot(self) -> Optional[CampaignSnapshot]:
-        """The newest persisted snapshot (None when there is none)."""
-        return _newest_snapshot(self.recorder.select())
+        """The newest checkpoint marker (None when there is none)."""
+        for notification in reversed(self.recorder.select()):
+            if notification.kind == KIND_SNAPSHOT:
+                return CampaignSnapshot.from_dict(notification.payload)
+        return None
 
-    def completed_cells(self) -> Tuple[Dict[str, object], int]:
-        """Completed cell keys -> record payloads, plus the resume tail size.
+    def completed_cells(self) -> Dict[str, object]:
+        """Completed cell keys -> their persisted records, in one log read.
 
-        The resume contract: one read of the log, split at the newest
-        snapshot's ``covered_id``.  Payloads for the snapshotted prefix
-        still come from the log (the snapshot carries keys, not full
-        records); the second element counts the notifications past the
-        snapshot watermark, so tests can assert how much of the log a
-        checkpoint left uncovered.  Failure records (``error``
-        non-empty) never count as completed: a resumed run re-executes
-        them.
+        Failure records (``error`` non-empty) never count as completed: a
+        resumed run re-executes them.  Checkpoint markers are decoded, so
+        a wrong-shaped one raises :class:`StoreFormatError`, but the
+        records alone say what is done; legacy event rows are skipped.
         """
         from ..campaign.results import RunRecord  # lazy: avoids a cycle
-        from .snapshot import cell_key
 
-        notifications = self.recorder.select()
-        snapshot = _newest_snapshot(notifications)
-        covered_id = snapshot.covered_id if snapshot is not None else 0
         completed: Dict[str, object] = {}
-        tail = 0
-        for notification in notifications:
-            if notification.id > covered_id:
-                tail += 1
-            if notification.kind != KIND_RECORD:
-                continue
-            record = RunRecord.from_dict(notification.payload)
-            if not record.failed:
-                completed[cell_key(record)] = record
-        return completed, tail
+        for notification in self.recorder.select():
+            if notification.kind == KIND_SNAPSHOT:
+                CampaignSnapshot.from_dict(notification.payload)
+            elif notification.kind == KIND_RECORD:
+                record = RunRecord.from_dict(notification.payload)
+                if not record.failed:
+                    completed[cell_key(record)] = record
+        return completed
 
     def get_projection(
         self, name: str
@@ -126,16 +112,6 @@ class CampaignStore:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _newest_snapshot(
-    notifications: List[Notification],
-) -> Optional[CampaignSnapshot]:
-    """Decode the newest snapshot notification (None when there is none)."""
-    for notification in reversed(notifications):
-        if notification.kind == KIND_SNAPSHOT:
-            return CampaignSnapshot.from_dict(notification.payload)
-    return None
 
 
 def _export_hint(path: Union[str, Path]) -> str:

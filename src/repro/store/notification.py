@@ -1,8 +1,8 @@
-"""Notifications: the globally ordered unit of the durable event store.
+"""Notifications: the globally ordered unit of the durable store.
 
 Everything the store persists — campaign :class:`~repro.campaign.results
-.RunRecord` rows, typed telemetry events, periodic campaign snapshots —
-flows through one monotonically numbered *notification log* (the
+.RunRecord` rows and checkpoint markers — flows through one
+monotonically numbered *notification log* (the
 recorder/notification-log split of classic event-sourcing systems).  A
 :class:`Notification` is a ``(id, kind, payload)`` triple: ``id`` is
 assigned by the recorder at append time and is dense and strictly
@@ -17,22 +17,27 @@ from typing import Dict
 
 #: A persisted campaign run record (payload = ``RunRecord.to_dict()``).
 KIND_RECORD = "record"
-#: A typed telemetry event (payload = ``TelemetryEvent.to_dict()``).
+#: A telemetry event that the removed ``store ingest`` command appended:
+#: older stores hold such rows, and readers count and skip them.
+#: Nothing writes this kind any more.
 KIND_EVENT = "event"
-#: A periodic campaign snapshot (payload = ``CampaignSnapshot.to_dict()``).
+#: A checkpoint marker (payload = ``CampaignSnapshot.to_dict()``).
 KIND_SNAPSHOT = "snapshot"
 
-#: The closed set of notification kinds a recorder will accept.
+#: The closed set of notification kinds a store may hold.
 NOTIFICATION_KINDS = (KIND_RECORD, KIND_EVENT, KIND_SNAPSHOT)
 
 
 class StoreFormatError(ValueError):
-    """Persisted store content that does not decode.
+    """Persisted store content that a command cannot use.
 
-    Raised for a projection state or snapshot payload of the wrong shape
+    Raised for a projection state or marker payload of the wrong shape
     (a hand-edited or corrupted store), with a message naming the
-    projection or field.  The CLI reports it as an operator error
-    (exit 2) even where it lets simulation errors keep their traceback.
+    projection or field, and for persisted records that do not match
+    the campaign resuming them
+    (:class:`~repro.store.resume.ResumeMismatchError`).  The CLI reports
+    it as an operator error (exit 2) even where it lets simulation
+    errors keep their traceback.
     """
 
 

@@ -1,14 +1,10 @@
-"""Reports as incremental projections over the notification log.
+"""Reports as projections over the notification log.
 
-A :class:`Projection` folds notifications into a compact, serializable
-state and remembers the newest notification id it has folded (its
-*watermark*), both persisted in the store.  ``apply`` reads only
-notifications past the watermark — re-rendering a report after a
-campaign appended N cells folds N notifications, not the whole history —
-and ``rebuild`` re-folds from scratch, so every projection is
-oracle-checkable against its own full rebuild
-(:func:`verify_store_projections`).  Each report has this one fold; the
-batch entry points fold an in-memory record list through it:
+A :class:`Projection` folds record notifications into a compact,
+serializable state and remembers the newest notification id it has
+folded (its *watermark*); checkpoint markers and legacy event rows only
+advance the watermark.  Each report has this one fold, and the batch
+entry points fold an in-memory record list through it:
 
 * :class:`RecordSummaryProjection` — the campaign summary table
   (``metrics.report.summarize_records``).
@@ -17,9 +13,13 @@ batch entry points fold an in-memory record list through it:
 * :class:`FigureProjection` — the Fig. 5 reductions and Fig. 6 relative
   tails, from compact per-record entries (``Fig5Result.from_records``,
   ``fig6_from_records``).
-* :class:`TelemetryCounterProjection` — streaming aggregation counters
-  over *event* notifications (the same fold
-  ``telemetry.replay.replay_aggregation`` runs over a JSONL event log).
+
+A durable campaign also persists each built-in projection's state and
+watermark in the store after every chunk.  ``apply`` folds only the
+notifications past the watermark, ``rebuild`` re-folds from scratch,
+and :func:`verify_store_projections` — the audit behind ``store
+verify`` — demands that the persisted state, caught up, equals a full
+rebuild.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from ..telemetry.digest import ResponseDigest
-from .notification import (
-    KIND_EVENT,
-    KIND_RECORD,
-    KIND_SNAPSHOT,
-    Notification,
-    StoreFormatError,
-)
+from .notification import KIND_RECORD, StoreFormatError
 
 
 class Projection:
@@ -62,24 +56,7 @@ class Projection:
         raise NotImplementedError
 
     def fold_record(self, record) -> None:
-        """Fold one :class:`RunRecord` (default: ignore)."""
-
-    def fold_event(self, event) -> None:
-        """Fold one typed telemetry event (default: ignore)."""
-
-    def fold_snapshot(self, snapshot) -> None:
-        """Fold one :class:`CampaignSnapshot` (default: ignore)."""
-
-    # -- folding ----------------------------------------------------------
-    def fold(self, notification: Notification, item: object) -> None:
-        """Fold one notification; ``item`` is its decoded payload."""
-        if notification.kind == KIND_RECORD:
-            self.fold_record(item)
-        elif notification.kind == KIND_EVENT:
-            self.fold_event(item)
-        elif notification.kind == KIND_SNAPSHOT:
-            self.fold_snapshot(item)
-        self.watermark = notification.id
+        raise NotImplementedError
 
     def load(self, store) -> "Projection":
         """Restore the persisted watermark + state (no-op if never saved).
@@ -123,17 +100,6 @@ class Projection:
 # ---------------------------------------------------------------------------
 
 
-def fold_responses(digest: ResponseDigest, record) -> None:
-    """Fold one record's responses into ``digest``: its raw samples when
-    it carries them, else its own digest (nothing for an empty record)."""
-    if record.response_times_ms:
-        digest.extend(record.response_times_ms)
-    else:
-        own = record.digest()
-        if own is not None:
-            digest.merge(own)
-
-
 def _new_pool() -> Dict[str, object]:
     """Live accumulator of many records' responses.
 
@@ -142,14 +108,21 @@ def _new_pool() -> Dict[str, object]:
     neither mode, so ``--raw-samples`` runs pool exactly — and the first
     digest-only record flips the group onto the digest path permanently
     (``raw`` becomes None).  ``digest`` accumulates in record order on
-    both paths (:func:`fold_responses`).  A fold costs O(the record's
-    samples or buckets); only :func:`_group_state` serializes a pool.
+    both paths: a record's raw samples when it carries them, else its own
+    digest.  A fold costs O(the record's samples or buckets); only
+    :func:`_group_state` serializes a pool.
     """
     return {"raw": [], "digest": ResponseDigest()}
 
 
 def _pool_fold(pool: Dict[str, object], record) -> None:
-    fold_responses(pool["digest"], record)  # type: ignore[arg-type]
+    digest = pool["digest"]
+    if record.response_times_ms:
+        digest.extend(record.response_times_ms)  # type: ignore[attr-defined]
+    else:
+        own = record.digest()
+        if own is not None:
+            digest.merge(own)  # type: ignore[attr-defined]
     raw = pool["raw"]
     if raw is not None:
         if record.response_digest and not record.response_times_ms:
@@ -571,56 +544,6 @@ class FigureProjection(Projection):
 
 
 # ---------------------------------------------------------------------------
-# Telemetry counters over event notifications
-# ---------------------------------------------------------------------------
-
-
-class TelemetryCounterProjection(Projection):
-    """Streaming-aggregation counters over *event* notifications.
-
-    The same fold :func:`repro.telemetry.replay.replay_aggregation` runs
-    over a JSONL event log, applied to events that flowed through the
-    notification log instead — so one store answers "what happened"
-    without re-reading the per-cell event files.
-    """
-
-    name = "telemetry"
-
-    def reset_state(self) -> None:
-        from ..telemetry.sinks import StreamingAggregationSink
-
-        self._sink = StreamingAggregationSink()
-
-    def state_dict(self) -> Dict[str, object]:
-        sink = self._sink
-        state = {
-            slot: getattr(sink, slot)
-            for slot in sink.__slots__
-            if slot not in ("kinds", "digest")
-        }
-        state["digest"] = sink.digest.to_dict()
-        return state
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self.reset_state()
-        for slot, value in state.items():
-            if slot == "digest":
-                self._sink.digest = ResponseDigest.from_dict(value)  # type: ignore[arg-type]
-            else:
-                setattr(self._sink, slot, value)
-
-    def fold_event(self, event) -> None:
-        self._sink.handle(event)
-
-    def counters(self) -> Dict[str, float]:
-        return self._sink.counters()
-
-    @property
-    def digest(self) -> ResponseDigest:
-        return self._sink.digest
-
-
-# ---------------------------------------------------------------------------
 # The projection registry + the rebuild oracle
 # ---------------------------------------------------------------------------
 
@@ -631,25 +554,7 @@ def default_projections() -> List[Projection]:
         RecordSummaryProjection(),
         FleetRollupProjection(),
         FigureProjection(),
-        TelemetryCounterProjection(),
     ]
-
-
-def _decode(notification: Notification) -> object:
-    """The object the fold hooks take for ``notification`` (None: unknown kind)."""
-    if notification.kind == KIND_RECORD:
-        from ..campaign.results import RunRecord  # lazy: avoids a cycle
-
-        return RunRecord.from_dict(notification.payload)
-    if notification.kind == KIND_EVENT:
-        from ..telemetry.events import event_from_dict
-
-        return event_from_dict(notification.payload)
-    if notification.kind == KIND_SNAPSHOT:
-        from .snapshot import CampaignSnapshot
-
-        return CampaignSnapshot.from_dict(notification.payload)
-    return None
 
 
 def _fold_new(projections: List[Projection], store, save: bool) -> List[int]:
@@ -662,13 +567,21 @@ def _fold_new(projections: List[Projection], store, save: bool) -> List[int]:
     """
     if not projections:
         return []
+    from ..campaign.results import RunRecord  # lazy: avoids a cycle
+
     since = [projection.watermark for projection in projections]
     fresh = store.select(start=min(since) + 1)
     for notification in fresh:
-        item = _decode(notification)
+        record = (
+            RunRecord.from_dict(notification.payload)
+            if notification.kind == KIND_RECORD
+            else None
+        )
         for projection, watermark in zip(projections, since):
             if notification.id > watermark:
-                projection.fold(notification, item)
+                if record is not None:
+                    projection.fold_record(record)
+                projection.watermark = notification.id
     counts = []
     for projection, watermark in zip(projections, since):
         count = sum(1 for notification in fresh if notification.id > watermark)
@@ -730,7 +643,6 @@ __all__ = [
     "FleetRollupProjection",
     "Projection",
     "RecordSummaryProjection",
-    "TelemetryCounterProjection",
     "default_projections",
     "update_projections",
     "verify_store_projections",

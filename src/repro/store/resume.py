@@ -1,13 +1,14 @@
-"""Snapshot-aware campaign execution: chunked appends, checkpoints, resume.
+"""Durable campaign execution: chunked appends, checkpoint markers, resume.
 
 :func:`execute_with_store` is the one orchestration path between "a list
 of campaign cells" and "records durably in a store".  It appends results
-in cell order in chunks of ``snapshot_every``, records a
-:class:`~repro.store.snapshot.CampaignSnapshot` after each chunk, keeps
-the built-in projections folded up to the log head, and — under
-``resume`` — skips every cell the store already holds a successful record
-for.  Because cells are deterministic and independent, and records are
-always appended in cell order, an interrupted-then-resumed campaign
+in cell order in chunks of ``snapshot_every``, appends a constant-size
+:class:`~repro.store.snapshot.CampaignSnapshot` marker after each chunk,
+keeps the built-in projections folded up to the log head, and — under
+``resume`` — reuses the persisted successful record of every cell the
+store already holds, after checking that the record belongs to this
+campaign.  Because cells are deterministic and independent, and records
+are always appended in cell order, an interrupted-then-resumed campaign
 produces a byte-identical results file (and equal rollups/reports) to an
 uninterrupted one.
 """
@@ -18,13 +19,23 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..telemetry.digest import ResponseDigest
 from .campaign_store import CampaignStore, resolve_store
-from .projections import fold_responses
-from .snapshot import CampaignSnapshot, cell_key, cell_spec
+from .notification import StoreFormatError
+from .snapshot import CampaignSnapshot, cell_key
 
-#: Default checkpoint cadence (cells per snapshot) for the CLI surface.
+#: Default checkpoint cadence (cells per chunk) for the CLI surface.
 DEFAULT_SNAPSHOT_EVERY = 25
+
+
+class ResumeMismatchError(StoreFormatError):
+    """A persisted record does not match the cell resuming it.
+
+    The store holds a record with the cell's key (scenario, system,
+    sequence, seed, shard) but another app count, condition or parameter
+    fingerprint: it was written by a different campaign (other
+    ``--apps``, ``--shards`` or overrides), and reusing it would mix two
+    campaigns' numbers silently.
+    """
 
 
 @dataclass
@@ -38,8 +49,46 @@ class ExecutionOutcome:
     resumed: int
     #: Cells actually executed by the backend this call.
     executed: int
-    #: Snapshots recorded this call.
+    #: Checkpoint markers appended this call.
     snapshots: int
+
+
+def _resumable(cells: Sequence, keys: List[str], store) -> Dict[int, object]:
+    """Cell index -> persisted record, for every cell the store completed.
+
+    Each record must agree with its cell on ``n_apps``, ``condition`` and
+    the parameter fingerprint (computed once per distinct parameter set),
+    else :class:`ResumeMismatchError` names the cell key and the field.
+    """
+    from ..campaign.backend import cell_outline  # lazy: avoids a cycle
+    from ..campaign.results import fingerprint_parameters
+
+    completed = store.completed_cells()
+    fingerprints: Dict[object, str] = {}
+    reused: Dict[int, object] = {}
+    for index, key in enumerate(keys):
+        record = completed.get(key)
+        if record is None:
+            continue
+        cell = cells[index]
+        if cell.params not in fingerprints:
+            fingerprints[cell.params] = fingerprint_parameters(cell.params)
+        n_apps, condition = cell_outline(cell)
+        for field, expected in (
+            ("n_apps", n_apps),
+            ("condition", condition),
+            ("fingerprint", fingerprints[cell.params]),
+        ):
+            persisted = getattr(record, field)
+            if persisted != expected:
+                raise ResumeMismatchError(
+                    f"cannot resume cell {key}: the store's record has "
+                    f"{field} {persisted!r} but this campaign's cell has "
+                    f"{expected!r}; resume with the options that wrote the "
+                    "store, or write to a new store"
+                )
+        reused[index] = record
+    return reused
 
 
 def execute_with_store(
@@ -54,8 +103,8 @@ def execute_with_store(
     ``store`` is None (no persistence) or anything
     :func:`~repro.store.campaign_store.resolve_store` accepts.  A plain
     :class:`~repro.campaign.results.ResultsStore` takes the single-append
-    path; snapshots and resume need a :class:`CampaignStore`, and asking
-    for them without one is an error rather than a silent no-op.
+    path; checkpoints and resume need a :class:`CampaignStore`, and
+    asking for them without one is an error rather than a silent no-op.
     """
     if snapshot_every < 0:
         raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
@@ -83,7 +132,7 @@ def execute_with_store(
     ]
 
     keys = [cell_key(cell) for cell in cells]
-    completed: Dict[str, object] = {}
+    results: Dict[int, object] = {}
     if resume:
         if len(set(keys)) != len(keys):
             raise ValueError(
@@ -91,16 +140,12 @@ def execute_with_store(
                 "(same scenario/system/sequence/seed/shard); matching "
                 "persisted records to cells would be ambiguous"
             )
-        completed, _ = store.completed_cells()
-
-    results: Dict[int, object] = {}
-    pending: List[int] = []
-    for index, key in enumerate(keys):
-        if resume and key in completed:
-            results[index] = completed[key]
-        else:
-            pending.append(index)
-    resumed = len(cells) - len(pending)
+        results = _resumable(cells, keys, store)
+    pending = [index for index in range(len(cells)) if index not in results]
+    resumed = len(results)
+    # Keys of the cells with a successful record so far: what a marker
+    # counts.
+    succeeded = {keys[index] for index in results}
 
     chunk_size = snapshot_every if snapshot_every > 0 else len(pending)
     snapshots = 0
@@ -114,28 +159,15 @@ def execute_with_store(
             chunk_records = backend.run([cells[i] for i in chunk])
             for index, record in zip(chunk, chunk_records):
                 results[index] = record
-            # Records land before the snapshot that covers them: a crash
-            # between the two appends only loses the checkpoint, never
-            # work — resume's tail scan re-derives the uncovered records.
+                if not record.failed:
+                    succeeded.add(keys[index])
+            # Records land before the marker that counts them: a crash
+            # between the two appends only loses the marker, never work.
             store.append_records(chunk_records)
             if snapshot_every > 0:
-                done = [i for i in range(len(cells)) if i in results]
-                merged = ResponseDigest()
-                for i in done:
-                    if not results[i].failed:
-                        fold_responses(merged, results[i])
                 store.record_snapshot(
                     CampaignSnapshot(
-                        completed=tuple(
-                            keys[i] for i in done if not results[i].failed
-                        ),
-                        digest=merged.to_dict(),
-                        cells=tuple(
-                            cell_spec(cells[i])
-                            for i in done
-                            if not results[i].failed
-                        ),
-                        covered_id=store.max_id(),
+                        completed=len(succeeded), covered_id=store.max_id()
                     )
                 )
                 snapshots += 1
@@ -155,5 +187,6 @@ def execute_with_store(
 __all__ = [
     "DEFAULT_SNAPSHOT_EVERY",
     "ExecutionOutcome",
+    "ResumeMismatchError",
     "execute_with_store",
 ]

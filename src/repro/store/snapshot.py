@@ -1,24 +1,26 @@
-"""Campaign snapshots: the periodic run-state checkpoints resume uses.
+"""Checkpoint markers: how far a durable campaign has got.
 
-After every N completed cells the orchestrator records a
-:class:`CampaignSnapshot` notification: the keys of every completed cell,
-the merged :class:`~repro.telemetry.digest.ResponseDigest` over their
-responses, and the RNG-free specs of the covered cells.  ``--resume``
-reads the latest snapshot plus any record notifications past its
-watermark, skips the finished cells, and continues — the resumed run's
-records and rollups are bit-identical to an uninterrupted one because
-cells are deterministic and independent.
+After every chunk of N cells the orchestrator appends its records and
+then a :class:`CampaignSnapshot` notification: a constant-size marker
+holding how many distinct cells have a successful record so far and the
+newest notification id those records reach.  ``store inspect`` shows
+the newest marker as progress and ``store verify`` checks that every
+marker is backed by records.  Resume reads no marker: the records
+themselves say which cells are done
+(:meth:`~repro.store.campaign_store.CampaignStore.completed_cells`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 from .notification import StoreFormatError
 
-#: Bumped whenever the snapshot payload shape changes incompatibly.
-SNAPSHOT_SCHEMA = 1
+#: Bumped whenever the marker payload shape changes.  Schema 1 listed
+#: every completed cell key, a merged response digest and the cell specs;
+#: it still decodes (:meth:`CampaignSnapshot.from_dict`).
+SNAPSHOT_SCHEMA = 2
 
 
 def cell_key(cell) -> str:
@@ -36,102 +38,65 @@ def cell_key(cell) -> str:
     )
 
 
-def cell_spec(cell) -> Dict[str, object]:
-    """An RNG-free, JSON-ready description of one cell (no arrivals)."""
-    spec: Dict[str, object] = {
-        "scenario": cell.scenario,
-        "system": cell.system,
-        "sequence_index": cell.sequence_index,
-        "seed": cell.seed,
-        "shard": cell.shard,
-        "kernel": getattr(cell, "kernel", "default"),
-    }
-    workload = getattr(cell, "workload", None)
-    if workload is not None:
-        spec["n_apps"] = workload.n_apps
-    arrivals = getattr(cell, "arrivals", None)
-    if arrivals is not None:
-        spec["n_apps"] = len(arrivals)
-    return spec
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignSnapshot:
-    """One periodic checkpoint of a running campaign."""
+    """One checkpoint marker of a running campaign."""
 
-    #: Keys of every cell completed so far, in completion order.
-    completed: Tuple[str, ...]
-    #: Merged response digest over every completed cell
-    #: (``ResponseDigest.to_dict()``; empty dict when no responses yet).
-    digest: Dict[str, object] = field(default_factory=dict)
-    #: RNG-free specs of the completed cells (diagnostics / audit).
-    cells: Tuple[Dict[str, object], ...] = ()
-    #: Newest notification id this snapshot covers: resume reads record
-    #: notifications with ``id > covered_id`` to catch the tail the next
-    #: snapshot never summarized.
-    covered_id: int = 0
-    schema: int = SNAPSHOT_SCHEMA
-
-    def __post_init__(self) -> None:
-        self.completed = tuple(self.completed)
-        self.cells = tuple(dict(c) for c in self.cells)
+    #: Distinct cells with a successful record so far.
+    completed: int
+    #: Newest notification id the marker covers: every counted record
+    #: lies at or before it.
+    covered_id: int
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "schema": self.schema,
-            "completed": list(self.completed),
-            "digest": dict(self.digest),
-            "cells": [dict(c) for c in self.cells],
+            "schema": SNAPSHOT_SCHEMA,
+            "completed": self.completed,
             "covered_id": self.covered_id,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "CampaignSnapshot":
-        """Decode a persisted payload, checking every field's type.
+        """Decode a persisted marker, checking each field it reads.
 
-        A payload of the wrong shape raises :class:`StoreFormatError`
-        naming the bad field.
+        A schema-1 payload decodes to the marker schema 2 records for the
+        same state: its count of distinct completed keys.  A payload of
+        the wrong shape raises :class:`StoreFormatError` naming the field.
         """
         if not isinstance(payload, dict):
             raise StoreFormatError(
                 f"snapshot payload must be an object, got "
                 f"{type(payload).__name__}"
             )
-        schema = payload.get("schema", SNAPSHOT_SCHEMA)
-        if schema != SNAPSHOT_SCHEMA:
+        schema = payload.get("schema")
+        if schema not in (1, SNAPSHOT_SCHEMA):
             raise StoreFormatError(
-                f"snapshot schema {schema} not supported "
-                f"(expected {SNAPSHOT_SCHEMA})"
+                f"snapshot schema {schema!r} not supported "
+                f"(expected 1 or {SNAPSHOT_SCHEMA})"
             )
-        completed = payload.get("completed", [])
-        digest = payload.get("digest", {})
-        cells = payload.get("cells", [])
-        covered_id = payload.get("covered_id", 0)
-        for name, ok, expected in (
-            ("completed",
-             isinstance(completed, list)
-             and all(isinstance(key, str) for key in completed),
-             "a list of cell keys"),
-            ("digest", isinstance(digest, dict), "an object"),
-            ("cells",
-             isinstance(cells, list)
-             and all(isinstance(spec, dict) for spec in cells),
-             "a list of cell specs"),
-            ("covered_id",
-             isinstance(covered_id, int) and not isinstance(covered_id, bool),
-             "an integer"),
+        completed = payload.get("completed")
+        expected = "a non-negative integer"
+        if schema == 1:
+            expected = "a list of cell keys"
+            keys_ok = isinstance(completed, list) and all(
+                isinstance(key, str) for key in completed
+            )
+            completed = len(set(completed)) if keys_ok else None  # type: ignore[arg-type]
+        covered_id = payload.get("covered_id")
+        for name, value, wanted in (
+            ("completed", completed, expected),
+            ("covered_id", covered_id, "a non-negative integer"),
         ):
-            if not ok:
+            if not _is_count(value):
                 raise StoreFormatError(
-                    f"snapshot field {name!r} must be {expected}, got "
-                    f"{payload[name]!r:.60}"
+                    f"snapshot field {name!r} must be {wanted}, got "
+                    f"{payload.get(name)!r:.60}"
                 )
-        return cls(
-            completed=tuple(completed),  # type: ignore[arg-type]
-            digest=dict(digest),  # type: ignore[arg-type]
-            cells=tuple(cells),  # type: ignore[arg-type]
-            covered_id=covered_id,  # type: ignore[arg-type]
-        )
+        return cls(completed=completed, covered_id=covered_id)  # type: ignore[arg-type]
 
 
-__all__ = ["CampaignSnapshot", "SNAPSHOT_SCHEMA", "cell_key", "cell_spec"]
+__all__ = ["CampaignSnapshot", "SNAPSHOT_SCHEMA", "cell_key"]

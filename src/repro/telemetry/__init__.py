@@ -54,7 +54,6 @@ from .events import (
 from .sinks import (
     FingerprintSink,
     JsonlEventLogSink,
-    RecorderEventSink,
     StreamingAggregationSink,
 )
 from .replay import (
@@ -62,7 +61,6 @@ from .replay import (
     load_events,
     read_event_log,
     replay_aggregation,
-    replay_notifications,
     sniff_event_log,
     summarize_event_log,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "N_BUCKETS",
     "PreemptionEvent",
     "QUANTILE_REL_ERROR",
-    "RecorderEventSink",
     "RequestReroutedEvent",
     "RequestShedEvent",
     "ResponseDigest",
@@ -106,7 +103,6 @@ __all__ = [
     "merge_digests",
     "read_event_log",
     "replay_aggregation",
-    "replay_notifications",
     "sniff_event_log",
     "summarize_event_log",
 ]

@@ -133,25 +133,6 @@ def replay_aggregation(path: Union[str, Path]) -> Tuple[Dict[str, object], Strea
     return meta, sink
 
 
-def replay_notifications(store) -> StreamingAggregationSink:
-    """Re-run the streaming aggregation over a store's *event* notifications.
-
-    The notification-log counterpart of :func:`replay_aggregation`:
-    events that flowed through a durable event store (via
-    :class:`~repro.telemetry.sinks.RecorderEventSink` or
-    ``repro store ingest``) fold back into a fresh aggregation sink in
-    global notification order — bit-identical to the live aggregation,
-    by the same argument as JSONL replay.
-    """
-    from ..store.notification import KIND_EVENT
-
-    sink = StreamingAggregationSink()
-    for notification in store.select():
-        if notification.kind == KIND_EVENT:
-            sink.handle(event_from_dict(notification.payload))
-    return sink
-
-
 def summarize_event_log(path: Union[str, Path]) -> Dict[str, object]:
     """A JSON-ready summary of one event log (the CLI's data model)."""
     meta, sink = replay_aggregation(path)
@@ -179,7 +160,6 @@ __all__ = [
     "load_events",
     "read_event_log",
     "replay_aggregation",
-    "replay_notifications",
     "sniff_event_log",
     "summarize_event_log",
 ]

@@ -163,45 +163,6 @@ class StreamingAggregationSink(TelemetrySink):
         }
 
 
-class RecorderEventSink(TelemetrySink):
-    """Flow typed events into a durable event store's notification log.
-
-    Events buffer in memory and append to the store as one transactional
-    batch on :meth:`flush` / :meth:`close` (``batch_size`` bounds the
-    buffer for long-running streams).  Once appended, the events are
-    globally ordered with the campaign's records and snapshots, so
-    store-level projections (e.g.
-    :class:`~repro.store.projections.TelemetryCounterProjection`) fold
-    them incrementally without re-reading per-cell JSONL files.
-    """
-
-    kinds = None
-
-    def __init__(self, store, batch_size: int = 1024) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.store = store
-        self.batch_size = batch_size
-        self.events_written = 0
-        self._pending: List[TelemetryEvent] = []
-
-    def handle(self, event: TelemetryEvent) -> None:
-        self._pending.append(event)
-        if len(self._pending) >= self.batch_size:
-            self.flush()
-
-    def flush(self) -> None:
-        """Append the buffered events as one atomic batch."""
-        if not self._pending:
-            return
-        self.store.append_events(self._pending)
-        self.events_written += len(self._pending)
-        self._pending = []
-
-    def close(self) -> None:
-        self.flush()
-
-
 class FingerprintSink(TelemetrySink):
     """Condense the stream into what the differential oracle compares.
 
@@ -238,6 +199,5 @@ class FingerprintSink(TelemetrySink):
 __all__ = [
     "FingerprintSink",
     "JsonlEventLogSink",
-    "RecorderEventSink",
     "StreamingAggregationSink",
 ]

@@ -84,8 +84,9 @@ def add_verify_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store", default=None, metavar="PATH",
         help="audit a durable SQLite store instead of sweeping: check "
-             "notification-log shape, snapshot consistency, and that every "
-             "persisted incremental projection equals a full rebuild",
+             "notification-log shape, that every checkpoint marker is "
+             "backed by records, and that every persisted projection "
+             "equals a full rebuild",
     )
 
 
@@ -141,7 +142,7 @@ def _run_store_audit(path: str) -> int:
         return 1
     print(
         f"verify: store {path}: notification log dense, snapshots "
-        "consistent, all projections equal a full rebuild"
+        "backed by records, all projections equal a full rebuild"
     )
     return 0
 

@@ -18,6 +18,7 @@ events shows up as a trace divergence long before it shifts an aggregate.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -403,16 +404,17 @@ class DifferentialOracle:
 
 
 def check_store(store_or_path) -> List[str]:
-    """Audit a durable event store's integrity and projections.
+    """Audit a durable store's integrity and projections.
 
     Three layers of checks, each reported as a human-readable finding
     string (empty list = clean):
 
     * **log shape** — notification ids must be dense and strictly
       increasing from 1 (the recorder contract; a gap means a torn or
-      hand-edited log);
-    * **snapshot consistency** — every snapshot's completed-cell keys
-      must be backed by a successful record at or before its watermark;
+      hand-edited log), and every record and marker payload must decode;
+    * **backed markers** — every checkpoint marker's ``covered_id`` must
+      lie below its own id, and at least ``completed`` distinct cell keys
+      must have a successful record at or before ``covered_id``;
     * **projection oracle** — every built-in projection's persisted
       incremental state must equal a from-scratch rebuild of the whole
       log (:func:`repro.store.projections.verify_store_projections`).
@@ -436,29 +438,32 @@ def check_store(store_or_path) -> List[str]:
             expected = notification.id
         expected += 1
 
-    # One pass: the first successful record id per cell key.  A snapshot
-    # key is backed when that record precedes the snapshot in the log and
-    # its id is within the snapshot's watermark.
-    first_id: dict = {}
+    # One pass in id order.  ``first_ids`` holds, ascending, the id of
+    # each distinct cell key's first successful record, so the keys a
+    # marker may count are those at or before its ``covered_id``.
+    seen: set = set()
+    first_ids: List[int] = []
     for notification in notifications:
         if notification.kind == KIND_RECORD:
             record = RunRecord.from_dict(notification.payload)
-            if not record.failed:
-                first_id.setdefault(cell_key(record), notification.id)
+            key = cell_key(record)
+            if not record.failed and key not in seen:
+                seen.add(key)
+                first_ids.append(notification.id)
         elif notification.kind == KIND_SNAPSHOT:
-            snapshot = CampaignSnapshot.from_dict(notification.payload)
-            missing = [
-                key
-                for key in snapshot.completed
-                if key not in first_id or first_id[key] > snapshot.covered_id
-            ]
-            if missing:
+            marker = CampaignSnapshot.from_dict(notification.payload)
+            where = f"snapshot (notification {notification.id})"
+            if marker.covered_id >= notification.id:
                 findings.append(
-                    f"snapshot (notification {notification.id}) claims "
-                    f"{len(missing)} completed cell(s) with no backing "
-                    f"record at or before id {snapshot.covered_id}: "
-                    + ", ".join(missing[:3])
-                    + ("..." if len(missing) > 3 else "")
+                    f"{where} covers id {marker.covered_id}, which is not "
+                    "below its own"
+                )
+            backed = bisect.bisect_right(first_ids, marker.covered_id)
+            if backed < marker.completed:
+                findings.append(
+                    f"{where} claims {marker.completed} completed cell(s), "
+                    f"but only {backed} have a successful record at or "
+                    f"before id {marker.covered_id}"
                 )
 
     findings.extend(verify_store_projections(store))

@@ -477,7 +477,6 @@ class TestCampaignCLI:
 
     @pytest.mark.parametrize("argv", [
         ["replay", "DIR"],
-        ["store", "ingest", "new.sqlite", "DIR"],
         ["store", "export", "DIR", "x.sqlite"],
         ["campaign", "run", "smoke", "--out", "DIR"],
         ["fig5", "--sequences", "1", "--apps", "2", "--out", "DIR"],

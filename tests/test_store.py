@@ -1,28 +1,35 @@
-"""The durable event store: recorders, snapshots, resume, projections.
+"""The durable store: recorders, checkpoint markers, resume, projections.
 
 The store contract under test, end to end:
 
 * the SQLite recorder persists one globally ordered notification log of
-  records, telemetry events and snapshots, and reads it back identically
-  after a reopen;
+  records and constant-size checkpoint markers, and reads it back
+  identically after a reopen;
 * ``ResultsStore.extend`` on a brand-new path writes the same header line
   ``write`` does, so every results file is self-describing (pinned by a
   byte-level round trip);
 * an interrupted campaign resumed with ``resume=True`` skips the cells
   the store already holds, re-executes the rest, and ends bit-identical
-  to an uninterrupted run — serial and process backends;
+  to an uninterrupted run — serial and process backends — while records
+  of another campaign (other app count, condition or parameters) are
+  refused before any cell runs;
 * reports fold as *incremental* projections (only past-watermark
   notifications are consumed, counted and asserted) that match a full
   rebuild exactly, and the replayed figures are pinned by sha256;
 * a plain JSONL results file is never a store: durable runs and store
   commands refuse it with exit 2 and write nothing, and ``store export``
-  converts between the two formats.
+  converts between the two formats;
+* a store written before checkpoint markers shrank (schema-1 snapshots,
+  ingested telemetry events, a ``telemetry`` projection row) still
+  resumes, inspects, verifies and exports (``tests/data/legacy_store.sql``).
 """
 
+import dataclasses
 import hashlib
 import json
 import os
 import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +42,6 @@ from repro.campaign import (
 )
 from repro.campaign.results import results_header
 from repro.fleet import Fleet, get_fleet_scenario
-from repro.metrics.report import summarize_records
 from repro.store import (
     CampaignSnapshot,
     CampaignStore,
@@ -47,8 +53,8 @@ from repro.store import (
     KIND_SNAPSHOT,
     Notification,
     RecordSummaryProjection,
+    ResumeMismatchError,
     SqliteRecorder,
-    TelemetryCounterProjection,
     cell_key,
     default_projections,
     execute_with_store,
@@ -57,8 +63,6 @@ from repro.store import (
     update_projections,
     verify_store_projections,
 )
-from repro.telemetry import load_events, replay_aggregation, replay_notifications
-from repro.telemetry.sinks import RecorderEventSink
 from repro.workloads.generator import Condition, WorkloadSpec
 
 #: SQLite store suffixes: a store behaves the same under either.
@@ -80,21 +84,6 @@ def campaign_records():
     """(cells, records) of one small deterministic campaign (4 cells)."""
     cells = CampaignRunner().cells_for(_scenario())
     return cells, SerialBackend().run(cells)
-
-
-@pytest.fixture(scope="module")
-def event_log(tmp_path_factory):
-    """One cell's telemetry event-log path (typed JSONL stream)."""
-    events_dir = tmp_path_factory.mktemp("events")
-    runner = CampaignRunner(events_dir=events_dir)
-    scenario = Scenario(
-        name="storeevents",
-        workload=WorkloadSpec(Condition.LOOSE, n_apps=2, sequence_count=1),
-        systems=("FCFS",),
-    )
-    runner.run(scenario)
-    (path,) = list(events_dir.glob("*.jsonl"))
-    return path
 
 
 class InterruptingBackend:
@@ -136,11 +125,7 @@ class TestRecorders:
         with open_store(path) as store:
             ids = store.append_records(records[:2])
             assert ids == [1, 2]
-            store.recorder.append([(KIND_SNAPSHOT, {"schema": 1,
-                                                    "completed": [],
-                                                    "digest": {},
-                                                    "cells": [],
-                                                    "covered_id": 2})])
+            store.record_snapshot(CampaignSnapshot(completed=2, covered_id=2))
             ids = store.append_records(records[2:])
             assert ids == [4, 5]
             before = [(n.id, n.kind, n.payload) for n in store.select()]
@@ -211,13 +196,22 @@ class TestResultsFileHeader:
 
 class TestSnapshotsAndResume:
     def test_snapshot_roundtrip(self):
-        snapshot = CampaignSnapshot(
-            completed=("a|b|seq0|seed1|shard-1",),
-            digest={"count": 3},
-            cells=({"scenario": "a"},),
-            covered_id=7,
-        )
+        snapshot = CampaignSnapshot(completed=2, covered_id=7)
+        assert snapshot.to_dict() == {
+            "schema": 2, "completed": 2, "covered_id": 7,
+        }
         assert CampaignSnapshot.from_dict(snapshot.to_dict()) == snapshot
+        # A schema-1 payload from an older store decodes to the same
+        # marker: its count of distinct completed keys.
+        legacy = {
+            "schema": 1,
+            "completed": ["a|b|seq0|seed1|shard-1", "a|c|seq0|seed1|shard-1",
+                          "a|b|seq0|seed1|shard-1"],
+            "digest": {"count": 3},
+            "cells": [{"scenario": "a"}],
+            "covered_id": 7,
+        }
+        assert CampaignSnapshot.from_dict(legacy) == snapshot
 
     @pytest.mark.parametrize("suffix", SUFFIXES)
     def test_snapshot_cadence_and_tail_bound(
@@ -234,14 +228,12 @@ class TestSnapshotsAndResume:
             assert counts["record"] == len(cells)
             assert counts["snapshot"] == 2
             snapshot = store.latest_snapshot()
-            assert len(snapshot.completed) == len(cells)
-            assert set(snapshot.completed) == {cell_key(c) for c in cells}
-            # the newest snapshot is the log head: resume's tail scan
-            # reads only the snapshot notification itself (its id is
-            # covered_id + 1), never the snapshotted record prefix
-            completed, tail = store.completed_cells()
-            assert tail == 1
-            assert len(completed) == len(cells)
+            assert snapshot.completed == len(cells)
+            # the newest marker is the log head and covers every record
+            # before it: nothing lies past its watermark but itself
+            assert snapshot.covered_id == store.max_id() - 1
+            completed = store.completed_cells()
+            assert set(completed) == {cell_key(c) for c in cells}
 
     @pytest.mark.parametrize("suffix", SUFFIXES)
     @pytest.mark.parametrize("jobs", (1, 2))
@@ -324,6 +316,53 @@ class TestSnapshotsAndResume:
                     store=store, resume=True,
                 )
 
+    @pytest.mark.parametrize("field, change", [
+        ("n_apps", lambda cell: {
+            "workload": dataclasses.replace(cell.workload, n_apps=5)}),
+        ("condition", lambda cell: {
+            "workload": dataclasses.replace(
+                cell.workload, condition=Condition.LOOSE)}),
+        ("fingerprint", lambda cell: {
+            "params": cell.params.with_overrides(pcap_bandwidth_mbps=200.0)}),
+    ], ids=["n_apps", "condition", "fingerprint"])
+    def test_resume_refuses_another_campaigns_record(
+        self, tmp_path, monkeypatch, campaign_records, field, change
+    ):
+        from repro.campaign import results
+
+        cells, records = campaign_records
+        path = tmp_path / "other.sqlite"
+        with open_store(path) as store:
+            store.append_records(records)
+        before = _dump(path)
+        # Only the last cell differs: every earlier one is checked and
+        # reused first, and still nothing runs or lands.
+        changed = [
+            *cells[:-1],
+            dataclasses.replace(cells[-1], **change(cells[-1])),
+        ]
+        fingerprinted = []
+        fingerprint = results.fingerprint_parameters
+
+        def counted_fingerprint(params):
+            fingerprinted.append(params)
+            return fingerprint(params)
+
+        monkeypatch.setattr(
+            results, "fingerprint_parameters", counted_fingerprint
+        )
+        backend = InterruptingBackend(SerialBackend(), fail_after=0)
+        with open_store(path) as store:
+            with pytest.raises(ResumeMismatchError) as refusal:
+                execute_with_store(backend, changed, store=store, resume=True)
+        assert str(refusal.value).startswith(
+            f"cannot resume cell {cell_key(changed[-1])}: the store's "
+            f"record has {field} "
+        )
+        assert _dump(path) == before
+        # one fingerprint per distinct parameter set, not one per cell
+        assert len(fingerprinted) == len({cell.params for cell in changed})
+
     def test_durability_features_require_a_store(self, campaign_records):
         cells, _ = campaign_records
         with pytest.raises(ValueError, match="need a persistent store"):
@@ -382,13 +421,6 @@ class TestProjections:
             assert second.render() == rebuilt.render()
             assert verify_store_projections(store) == []
 
-    def test_summary_projection_matches_batch_renderer(self, campaign_records):
-        _, records = campaign_records
-        projection = RecordSummaryProjection()
-        for record in records:
-            projection.fold_record(record)
-        assert projection.render() == summarize_records(records)
-
     def test_summary_projection_state_survives_json(self, campaign_records):
         _, records = campaign_records
         projection = RecordSummaryProjection()
@@ -411,29 +443,6 @@ class TestProjections:
         assert per_shard == result.rollup.per_shard
         assert overall == result.rollup.overall
 
-    def test_telemetry_projection_matches_jsonl_replay(
-        self, tmp_path, event_log
-    ):
-        events = load_events(event_log)
-        assert events
-        path = tmp_path / "events.sqlite"
-        with open_store(path) as store:
-            sink = RecorderEventSink(store, batch_size=16)
-            for event in events:
-                sink.handle(event)
-            sink.close()
-            assert sink.events_written == len(events)
-            assert store.counts() == {"event": len(events)}
-
-            projection = TelemetryCounterProjection()
-            projection.rebuild(store)
-            _, reference = replay_aggregation(event_log)
-            assert projection.counters() == reference.counters()
-            assert projection.digest.to_dict() == reference.digest.to_dict()
-            # the replay helper folds the same stream off the store
-            replayed = replay_notifications(store)
-            assert replayed.counters() == reference.counters()
-
     def test_update_projections_reports_folded_counts(
         self, tmp_path, campaign_records
     ):
@@ -441,9 +450,7 @@ class TestProjections:
         with open_store(tmp_path / "u.sqlite") as store:
             store.append_records(records)
             folded = update_projections(store)
-            assert set(folded) == {
-                "summary", "fleet-rollup", "figures", "telemetry"
-            }
+            assert set(folded) == {"summary", "fleet-rollup", "figures"}
             assert all(n == len(records) for n in folded.values())
             # idempotent: a second pass folds nothing
             assert all(
@@ -484,16 +491,19 @@ class TestProjections:
 
 
 #: sha256 of the figure's field plus ``rendered`` in ``replay --figure F
-#: --json`` over one 4-condition campaign (``campaign run fig5-<condition>
-#: --apps 4 --sequences 2``, all four appended to one results file),
-#: written digest-only and with ``--raw-samples``.  Fig. 5 means are
-#: bit-identical on both; Fig. 6 tails are digest quantiles on one and
-#: exact percentiles on the other.
+#: --json`` (of ``rendered`` alone for the summary table) over one
+#: 4-condition campaign (``campaign run fig5-<condition> --apps 4
+#: --sequences 2``, all four appended to one results file), written
+#: digest-only and with ``--raw-samples``.  Fig. 5 means are bit-identical
+#: on both; Fig. 6 tails and the summary's percentiles are digest
+#: quantiles on one and exact percentiles on the other.
 FIGURE_DIGESTS = {
     ("digest", "fig5"): "f5f62f1f8aa9fc3f4beaf5d121edeff381115cb2abb168ce61992f4b1d89b24d",
     ("digest", "fig6"): "fe9dfd9b9962b0bca457eb74492f72201a3c3cd7f031a0ead776570925bdcff8",
+    ("digest", "summary"): "54d64251c42602ebc8f4ed294de3bdd13b1c12552ae99dc1dea1e7329cc252d5",
     ("raw", "fig5"): "f5f62f1f8aa9fc3f4beaf5d121edeff381115cb2abb168ce61992f4b1d89b24d",
     ("raw", "fig6"): "776f07ce4f3d74c27dfdaff2d1574cef2aabcbcbcb9b6a9ebf6f34afd88773a1",
+    ("raw", "summary"): "d5f0bf3846545c729428249812cb98c674d5bbb091bd5865b3000f214d0a94ed",
 }
 
 
@@ -526,10 +536,14 @@ class TestFigurePins:
         capsys.readouterr()
         assert main(["replay", path, "--figure", figure, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        field = "reductions" if figure == "fig5" else "relative_tails"
-        text = json.dumps(
-            {key: payload[key] for key in (field, "rendered")}, sort_keys=True
-        )
+        if figure == "summary":
+            text = payload["rendered"]
+        else:
+            field = "reductions" if figure == "fig5" else "relative_tails"
+            text = json.dumps(
+                {key: payload[key] for key in (field, "rendered")},
+                sort_keys=True,
+            )
         assert hashlib.sha256(text.encode()).hexdigest() == \
             FIGURE_DIGESTS[samples, figure]
         assert main(["replay", path, "--figure", figure]) == 0
@@ -591,9 +605,7 @@ class TestStoreCli:
         (["store", "export", "a.sqlite", "b.sqlite"], "b.sqlite"),
         (["store", "export", "a.sqlite", "a.sqlite"], "a.sqlite"),
         (["store", "export", "a.sqlite", "b.jsonl"], "b.jsonl"),
-        (["store", "ingest", "new.sqlite", "missing.jsonl"], "missing.jsonl"),
-    ], ids=["into-exported-store", "into-itself", "into-results-file",
-            "ingest-missing-log"])
+    ], ids=["into-exported-store", "into-itself", "into-results-file"])
     def test_export_and_ingest_write_nothing_on_refusal(
         self, tmp_path, capsys, monkeypatch, campaign_records, argv, named
     ):
@@ -614,11 +626,10 @@ class TestStoreCli:
     @pytest.mark.parametrize("argv", [
         ["store", "inspect", "{results}"],
         ["store", "verify", "{results}"],
-        ["store", "ingest", "{results}", "{events}"],
         ["verify", "--store", "{results}"],
-    ], ids=["store-inspect", "store-verify", "store-ingest", "verify-store"])
+    ], ids=["store-inspect", "store-verify", "verify-store"])
     def test_store_commands_refuse_a_results_file(
-        self, tmp_path, capsys, campaign_records, event_log, argv
+        self, tmp_path, capsys, campaign_records, argv
     ):
         from repro.cli import main
 
@@ -626,8 +637,7 @@ class TestStoreCli:
         results = ResultsStore(tmp_path / "r.jsonl")
         results.write(records)
         before = _files(tmp_path)
-        argv = [arg.format(results=results.path, events=event_log)
-                for arg in argv]
+        argv = [arg.format(results=results.path) for arg in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -686,15 +696,63 @@ class TestStoreCli:
         assert main([*plain, "--out", str(plain_out)]) == 0
         assert exported.read_bytes() == plain_out.read_bytes()
 
-    def test_ingest_events(self, tmp_path, capsys, event_log):
+    def test_store_ingest_is_gone(self, capsys):
+        """Event logs stay replayable with ``replay LOG``; the store keeps
+        what a command reads."""
         from repro.cli import main
 
-        path = tmp_path / "ingest.sqlite"
-        with open_store(path):
-            pass
-        assert main(["store", "ingest", str(path), str(event_log)]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["store", "ingest", "s.sqlite", "events.jsonl"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, done, line", [
+        (["campaign", "run", "smoke"], 1,
+         "resume: 1 cell(s) already persisted, 2 executed this run\n\n"
+         "2 records appended to "),
+        (["fleet", "run", "fleet-smoke"], 1,
+         "resume: 1 shard cell(s) already persisted, 1 executed this run\n\n"
+         "1 shard records appended to "),
+    ], ids=["campaign", "fleet"])
+    def test_resume_counts_only_the_records_it_appended(
+        self, tmp_path, capsys, argv, done, line
+    ):
+        from repro.campaign import get_scenario
+        from repro.cli import main
+
+        if argv[0] == "campaign":
+            cells = CampaignRunner().cells_for(get_scenario("smoke"))
+        else:
+            cells = Fleet(get_fleet_scenario("fleet-smoke")).cells()
+        path = tmp_path / "partial.sqlite"
         with open_store(path) as store:
-            assert store.counts()["event"] == len(load_events(event_log))
+            execute_with_store(SerialBackend(), cells[:done], store=store)
+        assert main([*argv, "--resume", "--out", str(path)]) == 0
+        assert line + str(path) in capsys.readouterr().out
+        with open_store(path) as store:
+            assert store.counts()["record"] == len(cells)
+
+    @pytest.mark.parametrize("argv, first, second", [
+        (["campaign", "run", "smoke"], ["--apps", "4"], ["--apps", "8"]),
+        (["fleet", "run", "fleet-smoke"], ["--shards", "2"],
+         ["--shards", "4"]),
+    ], ids=["campaign-apps", "fleet-shards"])
+    def test_resume_refuses_another_campaigns_store(
+        self, tmp_path, capsys, argv, first, second
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "s.sqlite"
+        assert main([*argv, "--resume", "--out", str(path), *first]) == 0
+        before = _dump(path)
+        capsys.readouterr()
+        assert main([*argv, "--resume", "--out", str(path), *second]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot resume cell ")
+        assert captured.err.count("\n") == 1
+        assert "the store's record has n_apps " in captured.err
+        assert _dump(path) == before
 
     def test_replay_reads_sqlite_stores(self, tmp_path, capsys,
                                         campaign_records):
@@ -776,7 +834,7 @@ def _corrupt_snapshot_shape(path):
             "ORDER BY id DESC LIMIT 1"
         ).fetchone()
         payload = json.loads(payload)
-        payload["completed"] = 5
+        payload["completed"] = "5"
         conn.execute(
             "UPDATE notifications SET payload = ? WHERE id = ?",
             (json.dumps(payload), nid),
@@ -838,7 +896,7 @@ class TestMalformedStore:
 
 
 class TestStoreAudit:
-    """``check_store``'s snapshot check: one pass, same findings."""
+    """``check_store``'s marker check: one pass, same findings."""
 
     @pytest.mark.parametrize("late_record_before_snapshot", (True, False))
     def test_snapshot_key_recorded_past_its_watermark_is_flagged(
@@ -852,19 +910,32 @@ class TestStoreAudit:
             store.append_records([early])
             if late_record_before_snapshot:
                 store.append_records([late])
-            store.record_snapshot(CampaignSnapshot(
-                completed=(cell_key(early), cell_key(late)), covered_id=1,
-            ))
+            # counts both cells, but covers only the first record
+            store.record_snapshot(CampaignSnapshot(completed=2, covered_id=1))
             if not late_record_before_snapshot:
                 store.append_records([late])
             update_projections(store)
             findings = check_store(store)
         snapshot_id = 3 if late_record_before_snapshot else 2
         assert findings == [
-            f"snapshot (notification {snapshot_id}) claims 1 completed "
-            f"cell(s) with no backing record at or before id 1: "
-            f"{cell_key(late)}"
+            f"snapshot (notification {snapshot_id}) claims 2 completed "
+            "cell(s), but only 1 have a successful record at or before id 1"
         ]
+
+    def test_snapshot_covering_itself_is_flagged(
+        self, tmp_path, campaign_records
+    ):
+        from repro.verify.oracle import check_store
+
+        _, records = campaign_records
+        with open_store(tmp_path / "ahead.sqlite") as store:
+            store.append_records(records[:1])
+            store.record_snapshot(CampaignSnapshot(completed=1, covered_id=2))
+            update_projections(store)
+            assert check_store(store) == [
+                "snapshot (notification 2) covers id 2, which is not below "
+                "its own"
+            ]
 
     def test_snapshot_backed_within_its_watermark_is_clean(
         self, tmp_path, campaign_records
@@ -873,13 +944,97 @@ class TestStoreAudit:
 
         _, records = campaign_records
         with open_store(tmp_path / "backed.sqlite") as store:
-            store.append_records(records)
+            # a repeated cell is one distinct key, so it backs nothing extra
+            store.append_records([*records, records[0]])
             store.record_snapshot(CampaignSnapshot(
-                completed=tuple(cell_key(r) for r in records),
-                covered_id=len(records),
+                completed=len(records), covered_id=store.max_id(),
             ))
             update_projections(store)
             assert check_store(store) == []
+
+
+#: A store written before checkpoint markers shrank, as an ``iterdump``
+#: SQL text dump: ``fleet run fleet-smoke --snapshot-every 1 --events-dir
+#: DIR``, then ``store ingest`` of that run's admission log.  It holds two
+#: records, two schema-1 snapshots listing keys, digests and cell specs,
+#: eight event rows, and four projection rows (``telemetry`` among them)
+#: whose watermarks stop before the events.
+LEGACY_STORE = Path(__file__).parent / "data" / "legacy_store.sql"
+#: sha256 of that store's ``store export`` to JSONL, taken with the code
+#: that wrote it.
+LEGACY_EXPORT_SHA256 = (
+    "a12430d075f887f931b96864c5a13769aa7532c0cd1e72ec439c07c28519d0a0"
+)
+
+
+@pytest.fixture
+def legacy_store(tmp_path):
+    path = tmp_path / "legacy.sqlite"
+    conn = sqlite3.connect(path)
+    conn.executescript(LEGACY_STORE.read_text())
+    conn.close()
+    return path
+
+
+class TestLegacyStore:
+    """Old stores keep working: their extra rows are read and skipped."""
+
+    def test_resume_executes_and_appends_nothing(self, legacy_store, capsys):
+        from repro.cli import main
+
+        with open_store(legacy_store) as store:
+            before = [(n.id, n.kind, n.payload) for n in store.select()]
+        argv = ["fleet", "run", "fleet-smoke", "--resume", "--out",
+                str(legacy_store)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "resume: 2 shard cell(s) already persisted, 0 executed" in out
+        with open_store(legacy_store) as store:
+            assert [(n.id, n.kind, n.payload) for n in store.select()] == \
+                before
+
+    def test_inspect_and_verify_pass(self, legacy_store, capsys):
+        from repro.cli import main
+
+        assert main(["store", "verify", str(legacy_store)]) == 0
+        capsys.readouterr()
+        assert main(["store", "inspect", str(legacy_store), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["counts"] == {"event": 8, "record": 2, "snapshot": 2}
+        assert payload["snapshot"] == {"completed_cells": 2, "covered_id": 3}
+        # the old ``telemetry`` projection row is ignored
+        assert payload["projections"] == {
+            "figures": 4, "fleet-rollup": 4, "summary": 4,
+        }
+        assert main(["store", "inspect", str(legacy_store)]) == 0
+        assert "2 cell(s) through notification 3" in capsys.readouterr().out
+
+    def test_export_to_jsonl_is_byte_identical_to_before(
+        self, legacy_store, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        dest = tmp_path / "legacy.jsonl"
+        assert main(["store", "export", str(legacy_store), str(dest)]) == 0
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == \
+            LEGACY_EXPORT_SHA256
+
+    def test_export_to_sqlite_copies_the_records(
+        self, legacy_store, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        dest = tmp_path / "copy.sqlite"
+        assert main(["store", "export", str(legacy_store), str(dest)]) == 0
+        assert capsys.readouterr().out == (
+            "exported 2 record(s) to a store, leaving out 8 event(s) and 2 "
+            f"snapshot(s): {legacy_store} -> {dest}\n"
+        )
+        with open_store(dest) as copy, open_store(legacy_store) as source:
+            assert copy.counts() == {"record": 2}
+            assert [r.to_dict() for r in copy.load()] == \
+                [r.to_dict() for r in source.load()]
+            assert verify_store_projections(copy) == []
 
 
 class TestEventNotificationKinds:

@@ -1,12 +1,16 @@
 """Pinned store bytes and store fold work.
 
-The persisted ``projections`` and ``notifications`` rows of two fleet
-runs are pinned by sha256, so a change to how projections fold (live
-pools, one state load per campaign) cannot move a stored byte unnoticed.
-The work pins count, by monkeypatch, what a fold costs: folding
-digest-only records serializes no digest, and a durable campaign reads
-each built-in projection's persisted state once, however many chunks it
-saves.  Production code carries no counter for either.
+Three pins per fleet run.  The ``record`` notification rows and the
+``summary``, ``fleet-rollup`` and ``figures`` projection rows are pinned
+by sha256 as the code wrote them before checkpoint markers shrank: they
+fold only records, and markers still take one notification id each and
+advance the watermarks, so neither may move.  The marker rows are pinned
+by sha256 too, and each marker payload must stay within a constant size
+whatever the cell count.  The work pins count, by monkeypatch, what a
+fold costs: folding digest-only records serializes no digest, and a
+durable campaign reads each built-in projection's persisted state once,
+however many chunks it saves.  Production code carries no counter for
+either.
 """
 
 import hashlib
@@ -21,6 +25,7 @@ from repro.campaign.results import RunRecord
 from repro.fleet import Fleet, get_fleet_scenario
 from repro.fleet.fleet import rollup_records
 from repro.store import (
+    CampaignSnapshot,
     CampaignStore,
     FleetRollupProjection,
     default_projections,
@@ -35,36 +40,78 @@ def _sha256(rows) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("scenario, snapshot_every, projections, notifications", [
-    ("fleet-smoke", 1,
-     "0deeb0723706929971d62db6766ffff2ef6a7ffde8766afc85b44b3113fd94c4",
-     "6066f6b2656d1ff89bd730f8b092be0f5e572c8dcee696fe0bc91fe14780552e"),
-    ("fleet-chaos", 3,
-     "db87b254e8ae2b94797b255a0076d7c6c8ad971071e89de56051544cf331ee11",
-     "07312001e2bc9289d9b3f812511c9a0877a8e3f521cd63c1a81909e0c940301c"),
-])
-def test_persisted_rows_are_byte_pinned(
-    tmp_path, scenario, snapshot_every, projections, notifications
-):
-    path = tmp_path / f"{scenario}.sqlite"
+#: The pinned runs: (fleet scenario, ``snapshot_every``).
+RUNS = [("fleet-smoke", 1), ("fleet-chaos", 3)]
+RECORD_PINS = {
+    ("fleet-smoke", 1):
+        "afa2e97fff63f9f4ac362243df0538cba42fcf22e37640972b757ae81551f406",
+    ("fleet-chaos", 3):
+        "3f0cbd0ebcb758c54217ac4b9ddb79a10d9c28521bfbea22104fda0aec965b96",
+}
+PROJECTION_PINS = {
+    ("fleet-smoke", 1):
+        "910ecf87261789b2ecc76561dfaa79e47740fac0d59013880f5b915ace1f6436",
+    ("fleet-chaos", 3):
+        "ea639a65a8c51f4a7af97129ddcbd291ec13afd98b49d27966869c4c59b4ed69",
+}
+MARKER_PINS = {
+    ("fleet-smoke", 1):
+        "37451f367687b75252d9a713b96ee8bde8a3b7d48ac726a8df68929138fefc36",
+    ("fleet-chaos", 3):
+        "e5e36a286eb81d43467a949a30b730753db00a274318e8de43f12282f23290df",
+}
+#: Bound on one marker payload: ``{"completed": N, "covered_id": N,
+#: "schema": 2}`` with ten-digit counts takes 64 bytes.
+MARKER_MAX_BYTES = 64
+
+
+@pytest.fixture(scope="module", params=RUNS, ids="{0[0]}-{0[1]}".format)
+def pinned_rows(request, tmp_path_factory):
+    """``(run, rows)``: one pinned run's record, marker and projection rows."""
+    scenario, snapshot_every = request.param
+    path = tmp_path_factory.mktemp("pins") / f"{scenario}.sqlite"
     Fleet(get_fleet_scenario(scenario)).run(
         store=str(path), snapshot_every=snapshot_every
     )
     conn = sqlite3.connect(path)
     try:
-        projection_rows = conn.execute(
-            "SELECT name, watermark, state FROM projections ORDER BY name"
-        ).fetchall()
-        notification_rows = conn.execute(
-            "SELECT id, kind, payload FROM notifications ORDER BY id"
+        rows = {
+            kind: conn.execute(
+                "SELECT id, kind, payload FROM notifications WHERE kind = ? "
+                "ORDER BY id", (kind,),
+            ).fetchall()
+            for kind in ("record", "snapshot")
+        }
+        rows["projections"] = conn.execute(
+            "SELECT name, watermark, state FROM projections WHERE name IN "
+            "('summary', 'fleet-rollup', 'figures') ORDER BY name"
         ).fetchall()
     finally:
         conn.close()
-    assert [row[0] for row in projection_rows] == sorted(
-        projection.name for projection in default_projections()
+    return request.param, rows
+
+
+def test_record_rows_are_byte_pinned(pinned_rows):
+    run, rows = pinned_rows
+    assert _sha256(rows["record"]) == RECORD_PINS[run]
+
+
+def test_projection_rows_are_byte_pinned(pinned_rows):
+    run, rows = pinned_rows
+    assert [row[0] for row in rows["projections"]] == \
+        ["figures", "fleet-rollup", "summary"]
+    assert _sha256(rows["projections"]) == PROJECTION_PINS[run]
+
+
+def test_marker_rows_are_pinned_and_constant_size(pinned_rows):
+    run, rows = pinned_rows
+    assert _sha256(rows["snapshot"]) == MARKER_PINS[run]
+    assert all(
+        len(payload) <= MARKER_MAX_BYTES for _, _, payload in rows["snapshot"]
     )
-    assert _sha256(projection_rows) == projections
-    assert _sha256(notification_rows) == notifications
+    largest = CampaignSnapshot(completed=10**10 - 1, covered_id=10**10 - 1)
+    assert len(json.dumps(largest.to_dict(), sort_keys=True)) <= \
+        MARKER_MAX_BYTES
 
 
 def test_rollup_fold_serializes_no_digest(monkeypatch):
