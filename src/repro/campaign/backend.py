@@ -27,6 +27,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -429,12 +430,54 @@ def _new_executor(workers: int) -> concurrent.futures.ProcessPoolExecutor:
     )
 
 
+#: Pool tasks per worker that a pool splits its pending cells into: enough
+#: that the workers finish together, few enough that a task's round trip
+#: costs little beside its cells.
+_TASKS_PER_WORKER = 16
+
+
+class _PartialBatch(Exception):
+    """A cell of a pool task raised.
+
+    ``args`` are the records of the task's cells before it and its error,
+    so the error surfaces when collection reaches that cell, not earlier.
+    """
+
+
+def _run_batch(cells: Sequence[CampaignCell]) -> List[RunRecord]:
+    """Pool task: run ``cells`` in order, one :func:`execute_cell` each.
+
+    ``execute_cell`` is looked up in this module at call time, so a
+    wrapper installed on the module attribute before the pool forks sees
+    every cell.
+    """
+    records: List[RunRecord] = []
+    for cell in cells:
+        try:
+            records.append(execute_cell(cell))
+        except Exception as exc:
+            raise _PartialBatch(records, exc) from exc
+    return records
+
+
+class _Task(NamedTuple):
+    """One pool task: the scope's cells ``start`` to ``stop``, in order."""
+
+    start: int
+    stop: int
+    future: concurrent.futures.Future
+
+
 class _SharedPool:
     """The prefetching worker pool behind one :meth:`ProcessBackend.scope`.
 
     The first :meth:`collect` forks the workers and submits every cell of
-    the scope in cell order; each later :meth:`collect` only waits on its
-    own chunk's futures while the workers simulate the cells behind it.
+    the scope in cell order, in contiguous batches: each pool task takes
+    ``ceil(pending / (16 × workers))`` cells, so a campaign of at most
+    16 × workers cells still sends one cell per task.  Each later
+    :meth:`collect` only waits on the tasks holding its own chunk while
+    the workers simulate the cells behind it; a task may straddle two
+    chunks.
     """
 
     def __init__(
@@ -445,8 +488,8 @@ class _SharedPool:
         #: Index of the first cell no :meth:`collect` has claimed yet.
         self.cursor = 0
         self.executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        #: Futures of the submitted cells not collected yet, by index.
-        self.futures: Dict[int, concurrent.futures.Future] = {}
+        #: The task of every submitted cell not collected yet, by index.
+        self.tasks: Dict[int, _Task] = {}
 
     def collect(self, chunk: List[CampaignCell]) -> List[RunRecord]:
         start, stop = self.cursor, self.cursor + len(chunk)
@@ -467,10 +510,14 @@ class _SharedPool:
             self.stop()
         if self.executor is None:
             self._start(start)
-        futures = {index: self.futures[index] for index in range(start, stop)}
-        records, failures = self.backend._collect(futures, self.executor)
-        for index in futures:
-            del self.futures[index]
+        tasks: List[_Task] = []
+        for index in range(start, stop):
+            task = self.tasks.pop(index)
+            if not tasks or tasks[-1] is not task:
+                tasks.append(task)
+        records, failures = self.backend._collect(
+            tasks, self.executor, range(start, stop)
+        )
         if failures:
             # The pool broke while this chunk was collected: its unfinished
             # cells get isolation retries, the cells behind it a fresh pool
@@ -485,29 +532,34 @@ class _SharedPool:
         Called from ``run()``, never at scope entry, so the workers fork
         inside the ``run`` call that first needs them.
         """
-        self.executor = _new_executor(min(self.backend.jobs, len(self.cells) - start))
-        for index in range(start, len(self.cells)):
+        end = len(self.cells)
+        workers = min(self.backend.jobs, end - start)
+        self.executor = _new_executor(workers)
+        size = -(-(end - start) // (_TASKS_PER_WORKER * workers))
+        for first in range(start, end, size):
+            last = min(first + size, end)
             try:
-                self.futures[index] = self.executor.submit(
-                    execute_cell, self.cells[index]
+                future = self.executor.submit(
+                    _run_batch, self.cells[first:last]
                 )
             except BrokenProcessPool as exc:
-                # A cell submitted a moment ago already broke the pool:
+                # A task submitted a moment ago already broke the pool:
                 # the unsubmitted cells fail over like its pending ones.
-                broken: concurrent.futures.Future = concurrent.futures.Future()
-                broken.set_exception(exc)
-                self.futures.update(
-                    dict.fromkeys(range(index, len(self.cells)), broken)
-                )
+                future = concurrent.futures.Future()
+                future.set_exception(exc)
+                last = end
+            task = _Task(first, last, future)
+            self.tasks.update(dict.fromkeys(range(first, last), task))
+            if last == end:
                 break
 
     def stop(self) -> None:
         """Shut the pool down and reap its workers (no-op when stopped)."""
         executor, self.executor = self.executor, None
-        futures, self.futures = self.futures, {}
+        tasks, self.tasks = self.tasks, {}
         if executor is None:
             return
-        if any(not future.done() for future in futures.values()):
+        if any(not task.future.done() for task in tasks.values()):
             # Nobody will collect these (a chunk raised, or the pool
             # broke): kill the workers rather than wait, since a hung cell
             # would block shutdown forever.
@@ -524,10 +576,14 @@ class ProcessBackend:
     serial backend.  Unlike a bare ``multiprocessing.Pool.map`` — which
     hangs forever when a worker dies mid-task — this backend:
 
+    * ships cells to its workers in contiguous batches, one pool task
+      per ``ceil(pending / (16 × workers))`` cells (see
+      :class:`_SharedPool`), so a round trip is paid per task, not per
+      cell;
     * detects a crashed worker immediately (the pool breaks with
       :class:`BrokenProcessPool` rather than waiting on a lost task);
-    * bounds each cell's wall-clock with ``timeout_s`` (hung workers are
-      terminated, not waited on);
+    * bounds a task of k cells to k × ``timeout_s`` of wall-clock (hung
+      workers are terminated, not waited on);
     * re-executes every unfinished cell of the chunk being collected
       deterministically in a fresh single-worker pool, up to
       ``max_retries`` isolation rounds — a transiently killed worker (OOM
@@ -543,12 +599,16 @@ class ProcessBackend:
     """
 
     jobs: int = 2
-    #: Per-cell wall-clock bound in seconds (None = unbounded).  Measured
-    #: from when collection reaches the cell, so an earlier slow cell can
-    #: only lengthen — never shorten — a later cell's budget.
+    #: Per-cell wall-clock bound in seconds (None = unbounded).  A task of
+    #: k cells may run k × ``timeout_s``, measured from when collection
+    #: reaches the task, so an earlier slow task can only lengthen — never
+    #: shorten — a later task's budget.  The cells of a task that overruns
+    #: go to the isolation retries, where each cell gets ``timeout_s`` of
+    #: its own.
     timeout_s: Optional[float] = None
     #: Isolation rounds re-running crashed/timed-out cells before they
-    #: are surfaced as failure records.
+    #: are surfaced as failure records.  With 0, every uncollected cell of
+    #: a failed task is surfaced, its healthy neighbours included.
     max_retries: int = 1
     name: str = field(init=False, default="process")
     _pool: Optional[_SharedPool] = field(
@@ -569,11 +629,11 @@ class ProcessBackend:
 
         Inside the scope, each ``run`` must take the next cells of
         ``cells`` in order (the store layer's snapshot chunks).  The first
-        ``run`` starts the pool and submits every cell; later ones collect
-        results the workers computed while the caller was persisting the
-        previous chunk.  When a crash or timeout breaks the pool, the
-        chunk being collected gets the isolation retries and the cells
-        behind it run again on a fresh pool, uncounted as failures.
+        ``run`` starts the pool and submits every cell, in batches; later
+        ones collect results the workers computed while the caller was
+        persisting the previous chunk.  When a crash or timeout breaks the
+        pool, the chunk being collected gets the isolation retries and the
+        cells behind it run again on a fresh pool, uncounted as failures.
         Leaving the scope shuts the pool down and reaps its workers.
         """
         if self._pool is not None:
@@ -597,27 +657,44 @@ class ProcessBackend:
 
     def _collect(
         self,
-        futures: Dict[int, concurrent.futures.Future],
+        tasks: Sequence[_Task],
         executor: concurrent.futures.ProcessPoolExecutor,
+        wanted: range,
     ) -> Tuple[Dict[int, RunRecord], Dict[int, str]]:
-        """Wait on ``futures`` in order: records, and failures to retry."""
+        """Wait on ``tasks`` in order: the ``wanted`` cells' records, and
+        their failures to retry."""
         records: Dict[int, RunRecord] = {}
         failures: Dict[int, str] = {}
-        for index, future in futures.items():
+        for task in tasks:
+            cells = range(max(task.start, wanted.start),
+                          min(task.stop, wanted.stop))
+            budget = (None if self.timeout_s is None
+                      else self.timeout_s * (task.stop - task.start))
+            error = None
             try:
-                records[index] = future.result(timeout=self.timeout_s)
+                batch = task.future.result(timeout=budget)
+            except _PartialBatch as partial:
+                batch, raised = partial.args
+                if task.start + len(batch) < cells.stop:
+                    # The simulation raised in a wanted cell: a real
+                    # result, raised like the serial backend raises it.
+                    raise raised from partial.__cause__
             except concurrent.futures.TimeoutError:
-                failures[index] = f"cell timed out after {self.timeout_s:g}s"
+                error = f"cell timed out after {self.timeout_s:g}s"
                 # result(timeout=...) leaves the worker running; kill the
                 # pool's processes so the hung task cannot block shutdown
                 # (pending siblings fail over to retry).
                 self._terminate_workers(executor)
             except BrokenProcessPool:
-                # The dying worker is not attributable to one future:
-                # every unfinished cell fails over to the retry round.
-                failures[index] = "worker process crashed"
+                # The dying worker is not attributable to one task: every
+                # unfinished cell fails over to the retry round.
+                error = "worker process crashed"
             except concurrent.futures.CancelledError:
-                failures[index] = "cancelled after pool breakage"
+                error = "cancelled after pool breakage"
+            if error is None:
+                records.update(zip(cells, batch[cells.start - task.start :]))
+            else:
+                failures.update(dict.fromkeys(cells, error))
         return records, failures
 
     def _retry_isolated(
@@ -639,9 +716,10 @@ class ProcessBackend:
             for index in sorted(failures):
                 executor = _new_executor(1)
                 try:
+                    future = executor.submit(_run_batch, [cells[index]])
                     retried, failed = self._collect(
-                        {index: executor.submit(execute_cell, cells[index])},
-                        executor,
+                        [_Task(index, index + 1, future)], executor,
+                        range(index, index + 1),
                     )
                 finally:
                     executor.shutdown(wait=True, cancel_futures=True)

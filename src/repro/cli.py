@@ -83,9 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cell-timeout", type=float, default=None, metavar="S",
             help="with --jobs N: wall-clock bound per campaign cell in "
-                 "seconds (> 0); a hung worker is killed, the cell retried "
-                 "once in isolation, and a persistent failure is surfaced "
-                 "as a failure record instead of hanging the campaign",
+                 "seconds (> 0); cells travel to the workers in batches, and "
+                 "a batch of k cells may take k*S; a hung worker is killed, "
+                 "each cell of its batch retried once in isolation with S "
+                 "of its own, and a persistent failure is surfaced as a "
+                 "failure record instead of hanging the campaign",
         )
         p.add_argument(
             "--resume", action="store_true",

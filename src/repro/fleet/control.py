@@ -276,7 +276,6 @@ class FleetSupervisor:
         faults: FaultSchedule,
         shed_threshold: float = SHED_CAPACITY_THRESHOLD,
         admission_batch: int = ADMISSION_BATCH,
-        telemetry=None,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -287,7 +286,6 @@ class FleetSupervisor:
         self.faults = faults
         self.shed_threshold = shed_threshold
         self.admission_batch = admission_batch
-        self.telemetry = telemetry
         # The routing RNG family is a pure function of the seed, so the
         # plan reproduces in every process.
         streams = SeededStreams(seed).spawn("fleet-router")
@@ -329,11 +327,6 @@ class FleetSupervisor:
             for actor in self.actors
             if actor.state == SERVING
         ) / self.n_shards
-
-    def _emit(self, event: TelemetryEvent) -> None:
-        self._events.append(event)
-        if self.telemetry is not None and self.telemetry.wants(event.kind):
-            self.telemetry.emit(event)
 
     def _update_shed_window(self, time_ms: float) -> None:
         below = self._capacity_fraction() < self.shed_threshold
@@ -395,14 +388,14 @@ class FleetSupervisor:
             record.shard = -1
             record.time_ms = time_ms
             record.shed_reason = reason
-            self._emit(RequestShedEvent(time_ms, record.app, record.batch, reason))
+            self._events.append(RequestShedEvent(time_ms, record.app, record.batch, reason))
 
         def mark_dead(actor: ShardActor, time_ms: float, reason: str) -> None:
             actor.transition(DEAD, time_ms, reason)
             actor.down_since_ms = time_ms
             actor.epoch += 1
             actor.attempts = 0
-            self._emit(ShardDownEvent(time_ms, actor.shard, reason))
+            self._events.append(ShardDownEvent(time_ms, actor.shard, reason))
             self._update_shed_window(time_ms)
             # Always probe: a schedule may leave the shard permanently
             # dead, in which case the probes exhaust deterministically.
@@ -510,7 +503,7 @@ class FleetSupervisor:
                 if actor.epoch != epoch or actor.state != WARMING:
                     continue
                 actor.transition(SERVING, time_ms, "warmup-done")
-                self._emit(ShardRecoveredEvent(
+                self._events.append(ShardRecoveredEvent(
                     time_ms, shard, time_ms - actor.down_since_ms
                 ))
                 self._update_shed_window(time_ms)
@@ -531,7 +524,7 @@ class FleetSupervisor:
                     arrivals[record.seq], tuple(self.loads), live
                 )
                 admit(record, to_shard, time_ms)
-                self._emit(RequestReroutedEvent(
+                self._events.append(RequestReroutedEvent(
                     time_ms, record.app, record.batch, from_shard, to_shard
                 ))
 
@@ -552,7 +545,7 @@ class FleetSupervisor:
                 shard = self._route(arrival, snapshot, live)
                 admit(record, shard, time_ms)
                 admitted += 1
-                self._emit(ShardAdmissionEvent(
+                self._events.append(ShardAdmissionEvent(
                     arrival.time_ms, arrival.app_name,
                     arrival.batch_size, shard,
                 ))
@@ -606,19 +599,17 @@ def supervised_partition(
     faults: FaultSchedule,
     shed_threshold: float = SHED_CAPACITY_THRESHOLD,
     admission_batch: int = ADMISSION_BATCH,
-    telemetry=None,
 ) -> ServingPlan:
     """The fleet dispatch plan: arrivals routed to per-shard streams.
 
     Pure and deterministic in every argument — recomputing the plan in a
-    worker process yields the identical split.  An attached ``telemetry``
-    bus receives every control-plane event as it happens (one admission
-    event per admitted arrival, timestamped with the arrival time).
+    worker process yields the identical split.  The plan's ``events``
+    hold every control-plane event in order (one admission event per
+    admitted arrival, timestamped with the arrival time).
     """
     supervisor = FleetSupervisor(
         n_shards=n_shards, policy=policy, seed=seed, faults=faults,
         shed_threshold=shed_threshold, admission_batch=admission_batch,
-        telemetry=telemetry,
     )
     return supervisor.plan(arrivals)
 

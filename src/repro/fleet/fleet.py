@@ -308,7 +308,7 @@ class Fleet:
         self.params = scenario.parameters(base_params)
 
     # ------------------------------------------------------------------
-    def serving_plan(self, seed: int, telemetry=None) -> ServingPlan:
+    def serving_plan(self, seed: int) -> ServingPlan:
         """The supervised serving plan of one seed.
 
         The plan is audited against the no-lost-requests invariants
@@ -321,7 +321,7 @@ class Fleet:
         arrivals = scenario.workload.arrivals(seed)
         plan = supervised_partition(
             arrivals, scenario.n_shards, scenario.policy, seed,
-            scenario.fault_schedule(), telemetry=telemetry,
+            scenario.fault_schedule(),
         )
         violations = check_serving_plan(plan, arrivals)
         if violations:
@@ -332,56 +332,56 @@ class Fleet:
             )
         return plan
 
-    def shard_plan(self, seed: int, telemetry=None) -> List[List[Arrival]]:
+    def shard_plan(self, seed: int) -> List[List[Arrival]]:
         """The dispatch plan: the global stream routed into shards (the
         serving plan's final per-shard arrival streams, rerouting and
         shedding included)."""
-        return self.serving_plan(seed, telemetry=telemetry).streams
+        return self.serving_plan(seed).streams
 
     def plan_bundle(
-        self, events_dir: Optional[Union[str, Path]] = None
+        self,
     ) -> Tuple[Dict[int, List[List[Arrival]]], Dict[int, "ServingPlan"]]:
-        """Per-seed dispatch streams plus serving plans, computed once.
-
-        With ``events_dir`` the front-end writes one admission event log
-        per seed (the routed stream's source of truth — including any
-        shard-down/reroute/shed control events under faults).
-        """
-        plans: Dict[int, List[List[Arrival]]] = {}
-        serving_plans: Dict[int, ServingPlan] = {}
-        for seed in self.scenario.seeds:
-            telemetry = None
-            if events_dir is not None:
-                from ..telemetry import JsonlEventLogSink, TelemetryBus
-
-                telemetry = TelemetryBus()
-                telemetry.attach(
-                    JsonlEventLogSink(
-                        Path(events_dir)
-                        / f"{self.scenario.name}-admission-seed{seed}.jsonl",
-                        meta={
-                            "scenario": self.scenario.name,
-                            "policy": self.scenario.policy,
-                            "n_shards": self.scenario.n_shards,
-                            "seed": seed,
-                        },
-                    )
-                )
-            try:
-                plan = serving_plans[seed] = self.serving_plan(
-                    seed, telemetry=telemetry
-                )
-                plans[seed] = plan.streams
-            finally:
-                if telemetry is not None:
-                    telemetry.close()
+        """Per-seed dispatch streams plus serving plans, computed once, in
+        memory (:meth:`write_admission_logs` persists the plans' events)."""
+        serving_plans = {
+            seed: self.serving_plan(seed) for seed in self.scenario.seeds
+        }
+        plans = {seed: plan.streams for seed, plan in serving_plans.items()}
         return plans, serving_plans
 
-    def plans(
-        self, events_dir: Optional[Union[str, Path]] = None
-    ) -> Dict[int, List[List[Arrival]]]:
+    def write_admission_logs(
+        self,
+        serving_plans: Dict[int, "ServingPlan"],
+        events_dir: Union[str, Path],
+    ) -> None:
+        """One admission event log per seed under ``events_dir``.
+
+        Each log holds every control-plane event of the seed's serving
+        plan in order (the routed stream's source of truth — including any
+        shard-down/reroute/shed control events under faults).
+        """
+        from ..telemetry import JsonlEventLogSink
+
+        for seed, plan in serving_plans.items():
+            sink = JsonlEventLogSink(
+                Path(events_dir)
+                / f"{self.scenario.name}-admission-seed{seed}.jsonl",
+                meta={
+                    "scenario": self.scenario.name,
+                    "policy": self.scenario.policy,
+                    "n_shards": self.scenario.n_shards,
+                    "seed": seed,
+                },
+            )
+            try:
+                for event in plan.events:
+                    sink.handle(event)
+            finally:
+                sink.close()
+
+    def plans(self) -> Dict[int, List[List[Arrival]]]:
         """The dispatch plan of every seed, computed once."""
-        plans, _ = self.plan_bundle(events_dir=events_dir)
+        plans, _ = self.plan_bundle()
         return plans
 
     def cells(
@@ -439,10 +439,12 @@ class Fleet:
         ``jobs=1`` runs shards serially in-process (the determinism
         reference); ``jobs=N`` fans shards out over N worker processes
         with bit-identical records — ``timeout_s`` bounds each cell's
-        wall-clock there (hung workers killed, cell retried, persistent
+        wall-clock there (k × ``timeout_s`` for a pool task of k cells;
+        hung workers killed, cells retried in isolation, persistent
         failure surfaced as a failure record).  ``events_dir`` persists
         the full telemetry stream: one admission log per seed from the
-        front-end plus one event log per (seed × shard) cell.
+        front-end, written once the store has accepted the run, plus one
+        event log per (seed × shard) cell.
 
         ``snapshot_every`` / ``resume`` opt the run into the durable
         SQLite store (:mod:`repro.store`): records append in checkpointed
@@ -455,7 +457,9 @@ class Fleet:
 
         store = resolve_store(store, resume, snapshot_every)
         backend = make_backend(jobs, timeout_s=timeout_s)
-        plans, serving_plans = self.plan_bundle(events_dir=events_dir)
+        # The admission logs are written only once the store has accepted
+        # the campaign, so a refused resume writes nothing.
+        plans, serving_plans = self.plan_bundle()
         cells = self.cells(
             kernel=kernel,
             plans=plans,
@@ -469,6 +473,9 @@ class Fleet:
             store=store,
             snapshot_every=snapshot_every,
             resume=resume,
+            before_run=None if events_dir is None else (
+                lambda: self.write_admission_logs(serving_plans, events_dir)
+            ),
         )
         records = outcome.records
         imbalances = [load_imbalance(plan) for plan in plans.values()]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .campaign_store import CampaignStore, resolve_store
 from .notification import StoreFormatError
@@ -31,10 +31,11 @@ class ResumeMismatchError(StoreFormatError):
     """A persisted record does not match the cell resuming it.
 
     The store holds a record with the cell's key (scenario, system,
-    sequence, seed, shard) but another app count, condition or parameter
-    fingerprint: it was written by a different campaign (other
-    ``--apps``, ``--shards`` or overrides), and reusing it would mix two
-    campaigns' numbers silently.
+    sequence, seed, shard) but another app count, condition, parameter
+    fingerprint or raw-sample retention: it was written by a different
+    campaign (other ``--apps``, ``--shards``, overrides or
+    ``--raw-samples``), and reusing it would mix two campaigns' numbers
+    silently.
     """
 
 
@@ -56,9 +57,10 @@ class ExecutionOutcome:
 def _resumable(cells: Sequence, keys: List[str], store) -> Dict[int, object]:
     """Cell index -> persisted record, for every cell the store completed.
 
-    Each record must agree with its cell on ``n_apps``, ``condition`` and
-    the parameter fingerprint (computed once per distinct parameter set),
-    else :class:`ResumeMismatchError` names the cell key and the field.
+    Each record must agree with its cell on ``n_apps``, ``condition``,
+    the parameter fingerprint (computed once per distinct parameter set)
+    and ``raw_samples`` (whether it keeps ``response_times_ms``), else
+    :class:`ResumeMismatchError` names the cell key and the field.
     """
     from ..campaign.backend import cell_outline  # lazy: avoids a cycle
     from ..campaign.results import fingerprint_parameters
@@ -74,12 +76,18 @@ def _resumable(cells: Sequence, keys: List[str], store) -> Dict[int, object]:
         if cell.params not in fingerprints:
             fingerprints[cell.params] = fingerprint_parameters(cell.params)
         n_apps, condition = cell_outline(cell)
-        for field, expected in (
-            ("n_apps", n_apps),
-            ("condition", condition),
-            ("fingerprint", fingerprints[cell.params]),
-        ):
-            persisted = getattr(record, field)
+        checks = [
+            ("n_apps", record.n_apps, n_apps),
+            ("condition", record.condition, condition),
+            ("fingerprint", record.fingerprint, fingerprints[cell.params]),
+        ]
+        if n_apps:
+            # An empty cell carries no samples whether or not it keeps them.
+            checks.append((
+                "raw_samples", bool(record.response_times_ms),
+                cell.keep_raw_samples,
+            ))
+        for field, persisted, expected in checks:
             if persisted != expected:
                 raise ResumeMismatchError(
                     f"cannot resume cell {key}: the store's record has "
@@ -97,6 +105,7 @@ def execute_with_store(
     store=None,
     snapshot_every: int = 0,
     resume: bool = False,
+    before_run: Optional[Callable[[], None]] = None,
 ) -> ExecutionOutcome:
     """Run ``cells`` through ``backend`` with durable, resumable persistence.
 
@@ -105,6 +114,9 @@ def execute_with_store(
     :class:`~repro.campaign.results.ResultsStore` takes the single-append
     path; checkpoints and resume need a :class:`CampaignStore`, and
     asking for them without one is an error rather than a silent no-op.
+    ``before_run`` is called once the store has accepted the campaign,
+    before any cell runs, so a refused resume writes nothing it would
+    write.
     """
     if snapshot_every < 0:
         raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
@@ -113,6 +125,8 @@ def execute_with_store(
 
     if not isinstance(store, CampaignStore):
         # Plain path: one backend call, one append to the results file.
+        if before_run is not None:
+            before_run()
         records = backend.run(cells)
         if store is not None:
             store.extend(records)
@@ -141,6 +155,8 @@ def execute_with_store(
                 "persisted records to cells would be ambiguous"
             )
         results = _resumable(cells, keys, store)
+    if before_run is not None:
+        before_run()
     pending = [index for index in range(len(cells)) if index not in results]
     resumed = len(results)
     # Keys of the cells with a successful record so far: what a marker

@@ -2,11 +2,14 @@
 
 ``execute_with_store`` opens one :meth:`ProcessBackend.scope` over its
 pending cells: the first ``run`` forks the workers and submits every cell,
-and the workers keep simulating later snapshot chunks while the
-orchestrator appends, snapshots and folds the current one.  These tests
-pin how many pools a campaign starts, that every scoped cell runs in a
-worker, that a pool shared across chunks fails exactly like the per-chunk
-pools it replaced, and that no worker outlives its orchestrator.
+in batches of ``ceil(pending / (16 × workers))`` cells per pool task, and
+the workers keep simulating later snapshot chunks while the orchestrator
+appends, snapshots and folds the current one.  These tests pin how many
+pools a campaign starts and how many tasks it sends, that every scoped
+cell runs in a worker, that a pool shared across chunks fails exactly
+like the per-chunk pools it replaced, that a poison cell inside a batch
+costs its healthy neighbours nothing, and that no worker outlives its
+orchestrator.
 
 The special cells override ``resolve_arrivals`` — the first cell-specific
 code a worker runs — and talk to each other through files, because they
@@ -26,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignRunner, ProcessBackend, Scenario, SerialBackend
+from repro.campaign import backend as backend_module
 from repro.campaign.backend import CampaignCell
 from repro.store import execute_with_store, open_store
 from repro.workloads.generator import Condition, WorkloadSpec
@@ -71,6 +75,16 @@ class SlowCell(CampaignCell):
             if time.monotonic() > deadline:
                 break
             time.sleep(0.01)
+        time.sleep(0.2)
+        return super().resolve_arrivals()
+
+
+class NapCell(CampaignCell):
+    """Takes 0.2 s, logging each attempt."""
+
+    def resolve_arrivals(self):
+        with open(_FILES["slow"], "a") as handle:
+            handle.write("attempt\n")
         time.sleep(0.2)
         return super().resolve_arrivals()
 
@@ -132,9 +146,34 @@ def pools(monkeypatch):
     return made
 
 
+@pytest.fixture
+def task_sizes(monkeypatch):
+    """The cell count of every pool task a test submits, in order."""
+    sizes = []
+    real = backend_module._new_executor
+
+    def counting(workers):
+        executor = real(workers)
+        submit = executor.submit
+
+        def counted(fn, cells):
+            sizes.append(len(cells))
+            return submit(fn, cells)
+
+        executor.submit = counted
+        return executor
+
+    monkeypatch.setattr(backend_module, "_new_executor", counting)
+    return sizes
+
+
 def _log(path):
     with open_store(path) as store:
         return [(n.id, n.kind, n.payload) for n in store.select()]
+
+
+def _dicts(records):
+    return [record.to_dict() for record in records]
 
 
 class TestScopeLifetime:
@@ -290,6 +329,116 @@ class TestSharedPoolFailures:
             # Chunk 0 was appended (records + snapshot); nothing after it.
             assert store.counts() == {"record": 2, "snapshot": 1}
         assert multiprocessing.active_children() == []
+
+
+class TestBatchedDispatch:
+    """Cells travel to the workers in contiguous batches."""
+
+    @pytest.mark.parametrize("count, tasks", [(512, 32), (32, 32), (5, 5)])
+    def test_task_count(self, task_sizes, count, tasks):
+        # Empty cells: the dispatch is under test, not the simulation.
+        cells = [
+            CampaignCell(scenario="empty", system="FCFS", sequence_index=i,
+                         seed=1, arrivals=())
+            for i in range(count)
+        ]
+        records = ProcessBackend(jobs=2).run(cells)
+        assert task_sizes == [count // tasks] * tasks
+        assert _dicts(records) == _dicts(SerialBackend().run(cells))
+
+    def test_durable_campaign_in_two_cell_tasks(self, tmp_path, task_sizes):
+        # Three-cell chunks over two-cell tasks: every other task
+        # straddles two chunks.
+        cells = _cells(40)
+        with open_store(tmp_path / "pool.sqlite") as store:
+            outcome = execute_with_store(
+                ProcessBackend(jobs=2), cells, store=store, snapshot_every=3
+            )
+        assert task_sizes == [2] * 20
+        assert _dicts(outcome.records) == _dicts(SerialBackend().run(cells))
+        with open_store(tmp_path / "serial.sqlite") as store:
+            execute_with_store(SerialBackend(), cells, store=store,
+                               snapshot_every=3)
+        assert _log(tmp_path / "pool.sqlite") == \
+            _log(tmp_path / "serial.sqlite")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("poison, timeout_s, error", [
+        (CrashOnceCell, None, ""),
+        (AlwaysCrashCell, None, "worker process crashed (after 1 retries)"),
+        (HangCell, 1.0, "cell timed out after 1s (after 1 retries)"),
+    ])
+    def test_poison_cell_inside_a_task(
+        self, tmp_path, task_sizes, poison, timeout_s, error
+    ):
+        for name in ("marker", "crashed"):
+            _FILES[name] = str(tmp_path / name)
+        base = _cells(66)
+        # 66 cells on 2 workers: tasks of 3, and cell 4 is the middle one
+        # of the second task.
+        cells = [*base[:4], _clone_as(poison, base[4]), *base[5:]]
+        with open_store(tmp_path / "poison.sqlite") as store:
+            outcome = execute_with_store(
+                ProcessBackend(jobs=2, timeout_s=timeout_s), cells,
+                store=store, snapshot_every=6,
+            )
+        assert task_sizes[:22] == [3] * 22
+        records = _dicts(outcome.records)
+        assert records[4]["error"] == error
+        healthy = _dicts(SerialBackend().run(base))
+        if not error:
+            assert records == healthy
+        assert records[:4] + records[5:] == healthy[:4] + healthy[5:]
+        assert multiprocessing.active_children() == []
+
+    def test_timeout_budget_grows_with_the_task(self, tmp_path, task_sizes):
+        # Three 0.2 s cells share the first task: together they overrun a
+        # 0.5 s budget, one by one they do not, and the task gets 1.5 s.
+        _FILES["slow"] = str(tmp_path / "slow")
+        base = _cells(66)
+        cells = [*(_clone_as(NapCell, cell) for cell in base[:3]), *base[3:]]
+        records = ProcessBackend(jobs=2, timeout_s=0.5).run(cells)
+        assert task_sizes[0] == 3
+        assert len(Path(_FILES["slow"]).read_text().split()) == 3
+        assert _dicts(records) == _dicts(SerialBackend().run(base))
+
+    def test_simulation_exception_propagates_from_its_own_chunk(
+        self, tmp_path
+    ):
+        # Cell 3 raises inside the task of cells 2 and 3, which straddles
+        # chunks 0 and 1: chunk 0 still lands, as under per-cell dispatch.
+        base = _cells(40)
+        cells = [*base[:3], _clone_as(RaisingCell, base[3]), *base[4:]]
+        with open_store(tmp_path / "raise.sqlite") as store:
+            with pytest.raises(ValueError, match="simulation-level error") \
+                    as raised:
+                execute_with_store(ProcessBackend(jobs=2), cells, store=store,
+                                   snapshot_every=3)
+            assert store.counts() == {"record": 3, "snapshot": 1}
+        # The worker's traceback comes along.
+        assert "in resolve_arrivals" in str(raised.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_every_cell_runs_through_the_module_execute_cell(
+        self, tmp_path, monkeypatch
+    ):
+        # A wrapper installed on the module attribute before the pool
+        # forks sees every cell (perfbench's ``campaign.cell`` span).
+        calls = tmp_path / "calls"
+        real = backend_module.execute_cell
+
+        def counted(cell):
+            with open(calls, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real(cell)
+
+        monkeypatch.setattr(backend_module, "execute_cell", counted)
+        cells = _cells(40)
+        records = ProcessBackend(jobs=2).run(cells)
+        pids = [int(line) for line in calls.read_text().split()]
+        assert len(pids) == len(cells)
+        assert os.getpid() not in pids
+        assert _dicts(records) == _dicts(SerialBackend().run(cells))
 
 
 def _children(pid: int):

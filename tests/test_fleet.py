@@ -269,9 +269,10 @@ class TestFleetWorkloads:
 # Fault-free dispatch plans
 # ----------------------------------------------------------------------
 #: (sha256 of ``repr(plans)``, sha256 of the admission event logs in seed
-#: order) from ``plan_bundle(events_dir=...)`` over seeds 0, 1 and 7, per
-#: registered fault-free fleet scenario and routing policy.  A change to
-#: admission (routing draws, batch snapshots, event emission) moves them.
+#: order) from ``plan_bundle`` and ``write_admission_logs`` over seeds 0, 1
+#: and 7, per registered fault-free fleet scenario and routing policy.  A
+#: change to admission (routing draws, batch snapshots, event emission)
+#: moves them.
 PLAN_SEEDS = (0, 1, 7)
 PLAN_DIGESTS = {
     ("fleet-smoke", "hash"): (
@@ -352,7 +353,9 @@ class TestDispatchPlans:
         scenario = dataclasses.replace(
             get_fleet_scenario(name), policy=policy, seeds=PLAN_SEEDS
         )
-        plans, _ = Fleet(scenario).plan_bundle(events_dir=tmp_path)
+        fleet = Fleet(scenario)
+        plans, serving_plans = fleet.plan_bundle()
+        fleet.write_admission_logs(serving_plans, tmp_path)
         logs = hashlib.sha256()
         for seed in PLAN_SEEDS:
             logs.update(

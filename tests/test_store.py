@@ -34,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import (
+    CampaignCell,
     CampaignRunner,
     ProcessBackend,
     ResultsStore,
@@ -324,7 +325,8 @@ class TestSnapshotsAndResume:
                 cell.workload, condition=Condition.LOOSE)}),
         ("fingerprint", lambda cell: {
             "params": cell.params.with_overrides(pcap_bandwidth_mbps=200.0)}),
-    ], ids=["n_apps", "condition", "fingerprint"])
+        ("raw_samples", lambda cell: {"keep_raw_samples": True}),
+    ], ids=["n_apps", "condition", "fingerprint", "raw_samples"])
     def test_resume_refuses_another_campaigns_record(
         self, tmp_path, monkeypatch, campaign_records, field, change
     ):
@@ -362,6 +364,22 @@ class TestSnapshotsAndResume:
         assert _dump(path) == before
         # one fingerprint per distinct parameter set, not one per cell
         assert len(fingerprinted) == len({cell.params for cell in changed})
+
+    def test_resume_ignores_sample_retention_of_an_empty_cell(self, tmp_path):
+        # A cell the router sent nothing to has no samples to keep, so
+        # its record fits a campaign with or without --raw-samples.
+        empty = CampaignCell(scenario="empty", system="FCFS",
+                             sequence_index=0, seed=1, arrivals=())
+        path = tmp_path / "empty.sqlite"
+        with open_store(path) as store:
+            execute_with_store(SerialBackend(), [empty], store=store)
+        with open_store(path) as store:
+            outcome = execute_with_store(
+                SerialBackend(),
+                [dataclasses.replace(empty, keep_raw_samples=True)],
+                store=store, resume=True,
+            )
+        assert (outcome.resumed, outcome.executed) == (1, 0)
 
     def test_durability_features_require_a_store(self, campaign_records):
         cells, _ = campaign_records
@@ -732,27 +750,37 @@ class TestStoreCli:
         with open_store(path) as store:
             assert store.counts()["record"] == len(cells)
 
-    @pytest.mark.parametrize("argv, first, second", [
-        (["campaign", "run", "smoke"], ["--apps", "4"], ["--apps", "8"]),
+    @pytest.mark.parametrize("argv, first, second, field", [
+        (["campaign", "run", "smoke"], ["--apps", "4"], ["--apps", "8"],
+         "n_apps"),
         (["fleet", "run", "fleet-smoke"], ["--shards", "2"],
-         ["--shards", "4"]),
-    ], ids=["campaign-apps", "fleet-shards"])
+         ["--shards", "4"], "n_apps"),
+        # Refused before the front-end writes its admission logs.
+        (["fleet", "run", "fleet-smoke"], ["--shards", "2"],
+         ["--shards", "4", "--events-dir", "ev"], "n_apps"),
+        (["campaign", "run", "smoke"], [], ["--raw-samples"], "raw_samples"),
+        (["campaign", "run", "smoke"], ["--raw-samples"], [], "raw_samples"),
+    ], ids=["campaign-apps", "fleet-shards", "fleet-events-dir",
+            "campaign-raw-samples", "campaign-digest-only"])
     def test_resume_refuses_another_campaigns_store(
-        self, tmp_path, capsys, argv, first, second
+        self, tmp_path, monkeypatch, capsys, argv, first, second, field
     ):
         from repro.cli import main
 
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "s.sqlite"
         assert main([*argv, "--resume", "--out", str(path), *first]) == 0
         before = _dump(path)
+        files = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
         assert main([*argv, "--resume", "--out", str(path), *second]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: cannot resume cell ")
         assert captured.err.count("\n") == 1
-        assert "the store's record has n_apps " in captured.err
+        assert f"the store's record has {field} " in captured.err
         assert _dump(path) == before
+        assert sorted(tmp_path.rglob("*")) == files
 
     def test_replay_reads_sqlite_stores(self, tmp_path, capsys,
                                         campaign_records):
