@@ -2,13 +2,15 @@
 
 The executable parts of Algorithm 2 live in the scheduler machinery:
 
-* lines 1–3 (ready-list upkeep) — :meth:`AppRun.next_little_payloads` /
-  :meth:`AppRun.next_big_payloads` compute the ready set incrementally;
+* lines 1–3 (ready-list upkeep) — :meth:`AppRun.little_payloads` /
+  :meth:`AppRun.big_payloads` are the one eligibility scan per slot kind
+  (the planner stops each at its head, Nimblock counts the Little one);
 * lines 4–7 (online 3-in-1 bundling) — bundles replace their member tasks
   in the ready list by construction, and the serial/parallel mode is
   chosen at dispatch via :func:`repro.core.bundling.serial_preferred`;
-* lines 8–12 (batch-execution launch) — task/bundle run processes launch
-  items through the scheduler core's launch gate;
+* lines 8–12 (batch-execution launch) — every loaded task or bundle walks
+  its items in the one batch-item loop, :meth:`SlotRun._run`, which
+  launches each item through the scheduler core's launch gate;
 * lines 13–19 (PR dispatch within the allocation ``R_Ai``) —
   :meth:`OnBoardScheduler.plan_dispatch`, with asynchronous requests to
   the PR server in dual-core mode.
@@ -38,9 +40,9 @@ def ready_task_queue(scheduler: OnBoardScheduler) -> List[Tuple[AppRun, Union[Ta
     queue: List[Tuple[AppRun, Union[TaskSpec, BundleSpec]]] = []
     for app in dispatch_order(scheduler):
         if app.in_big:
-            queue.extend((app, bundle) for bundle in app.next_big_payloads())
+            queue.extend((app, bundle) for bundle in app.big_payloads())
         else:
-            queue.extend((app, task) for task in app.next_little_payloads())
+            queue.extend((app, task) for task in app.little_payloads())
     return queue
 
 

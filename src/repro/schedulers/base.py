@@ -1,10 +1,12 @@
 """Scheduler skeleton shared by all spatio-temporal sharing systems.
 
 :class:`OnBoardScheduler` implements everything that is *mechanism* rather
-than *policy*: the wake-driven scheduler loop on core 0, PR dispatch (inline
-single-core or via the dedicated dual-core PR server), the launch gate,
-cooperative preemption, slot bookkeeping, statistics, and the hooks used by
-the cluster layer (intake control, waiting-app extraction for migration).
+than *policy*: the wake-driven scheduler loop on core 0, PR dispatch (one
+load path, run inline on the single core or by the dedicated dual-core PR
+server), cooperative preemption, slot bookkeeping, statistics, and the
+hooks used by the cluster layer (intake control, waiting-app extraction
+for migration).  The batch-item loop and its launch gate live in
+``schedulers.runtime``.
 
 Concrete schedulers (FCFS, RR, Nimblock, VersaSlot) provide the
 :meth:`OnBoardScheduler.allocate` policy and, where relevant, preemption
@@ -20,6 +22,7 @@ from ..apps.application import ApplicationInstance, BundleSpec
 from ..config import DEFAULT_PARAMETERS, SystemParameters
 from ..fpga.bitstream import Bitstream, SlotKind
 from ..fpga.board import FPGABoard
+from ..fpga.cpu import Core
 from ..fpga.slots import Slot
 from ..sim import Engine, Event, Store, Tracer, NULL_TRACER
 from ..sim.events import PENDING
@@ -128,7 +131,7 @@ class OnBoardScheduler:
         "board", "engine", "params", "dual_core", "preemption",
         "preemption_quantum_ms", "tracer", "stats", "c_wait", "s_big",
         "s_little", "apps", "live_apps", "intake_open", "_wake_pending",
-        "_wake_event", "_pr_inflight", "_inflight_app", "_last_preempt_ms",
+        "_wake_event", "_inflight_app", "_last_preempt_ms",
         "candidate_listeners", "finish_listeners", "pr_queue", "_core",
         "_launch_overhead_ms", "_action_ms", "big_total", "little_total",
         "telemetry",
@@ -136,10 +139,6 @@ class OnBoardScheduler:
 
     #: Human-readable system name, overridden by subclasses.
     name = "abstract"
-
-    #: Pipeline-aware systems overlap batch items across slots; naive
-    #: systems (FCFS, RR) only start a stage after its upstream batch.
-    item_pipelining = True
 
     #: Granularity of cross-slot streaming: 1 = per-item credits
     #: (pipeline-aware systems); naive systems double-buffer coarse chunks
@@ -181,7 +180,6 @@ class OnBoardScheduler:
         self.intake_open = True
         self._wake_pending = False
         self._wake_event: Optional[Event] = None
-        self._pr_inflight = 0
         self._inflight_app: Optional[AppRun] = None
         self._last_preempt_ms = -1e12
         #: Fired by the cluster layer on submit/finish (candidate updates).
@@ -380,41 +378,31 @@ class OnBoardScheduler:
                 self.pr_queue.put(plan)
         else:
             for plan in plans:
-                yield from self._inline_pr(plan)
-
-    def _inline_pr(self, plan: PRPlan) -> Generator:
-        """Single-core PR: the scheduler core is suspended during the load."""
-        core = self._core
-        request = core.try_acquire()
-        if request is not None:
-            yield request
-        self._pr_inflight += 1
-        self._inflight_app = plan.app_run
-        try:
-            yield from self.board.pcap.load(plan.bitstream)
-        finally:
-            self._pr_inflight -= 1
-            self._inflight_app = None
-            core.release()
-        self._complete_pr(plan)
+                yield from self._load_pr(core, plan)
 
     def _pr_server_loop(self) -> Generator:
         """Dedicated PR server on core 1 (VersaSlot's dual-core design)."""
         core = self.board.ps.pr_core(dual_core=True)
         while True:
             plan = yield self.pr_queue.get()
-            request = core.try_acquire()
-            if request is not None:
-                yield request
-            self._pr_inflight += 1
-            self._inflight_app = plan.app_run
-            try:
-                yield from self.board.pcap.load(plan.bitstream)
-            finally:
-                self._pr_inflight -= 1
-                self._inflight_app = None
-                core.release()
-            self._complete_pr(plan)
+            yield from self._load_pr(core, plan)
+
+    def _load_pr(self, core: Core, plan: PRPlan) -> Generator:
+        """Load one plan's bitstream, holding ``core`` for the whole load.
+
+        On single-core systems ``core`` is the scheduler core, so the load
+        suspends the scheduler and every launch gate with it.
+        """
+        request = core.try_acquire()
+        if request is not None:
+            yield request
+        self._inflight_app = plan.app_run
+        try:
+            yield from self.board.pcap.load(plan.bitstream)
+        finally:
+            self._inflight_app = None
+            core.release()
+        self._complete_pr(plan)
 
     def _mark_cross_app(self, plans: List[PRPlan]) -> None:
         """Flag plans that will queue behind another application's PR."""
@@ -460,22 +448,22 @@ class OnBoardScheduler:
         """Append ``app``'s plans for slots of ``kind`` to ``plans``."""
         while True:
             # Only the head of the eligibility order is ever dispatched,
-            # so probe it directly instead of materializing the list.
+            # so the scan stops at it.
             if kind is SlotKind.BIG:
                 if app.used_big >= app.alloc_big:
                     break
-                payload: Optional[Payload] = app.first_big_payload()
+                head: List[Payload] = app.big_payloads(1)
             else:
                 if app.used_little >= app.alloc_little:
                     self._rotate_for_reload(app)
                     break
-                payload = app.first_little_payload()
-            if payload is None:
+                head = app.little_payloads(1)
+            if not head:
                 break
             slot = self.board.idle_slot(kind)
             if slot is None:
                 break
-            plans.append(self._make_plan(app, payload, slot))
+            plans.append(self._make_plan(app, head[0], slot))
 
     def _rotate_for_reload(self, app: AppRun) -> None:
         """Self-rotation: displace the highest stage for a missing lower one.
@@ -495,8 +483,8 @@ class OnBoardScheduler:
                     highest = run
         if highest is None:
             return
-        head = app.first_little_payload()
-        if head is not None and highest.task.index > head.index:
+        head = app.little_payloads(1)
+        if head and highest.task.index > head[0].index:
             highest.request_preempt()
 
     def _make_plan(self, app: AppRun, payload: Payload, slot: Slot) -> PRPlan:

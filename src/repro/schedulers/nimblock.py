@@ -57,7 +57,7 @@ class NimblockScheduler(OnBoardScheduler):
         for app in order:
             used = app.used_little
             if free > 0:
-                demand = used + app.little_payload_count()
+                demand = used + len(app.little_payloads())
                 demands.append(demand)
                 grant = max(used, min(self.optimal_for(app), demand, free))
             else:

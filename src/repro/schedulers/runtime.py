@@ -1,16 +1,20 @@
-"""On-board runtime state: application runs, task runs and bundle runs.
+"""On-board runtime state: application runs and the runs loaded in slots.
 
 This module holds the execution machinery shared by every spatio-temporal
 scheduler (FCFS, RR, Nimblock, VersaSlot):
 
 * :class:`AppRun` — per-application bookkeeping: item-level completion
   state, the pipeline dependency events, slot allocation and binding.
-* :class:`TaskRun` — one task loaded in a Little slot; a process that walks
-  the batch item by item, honouring the cross-slot pipeline dependency and
-  the launch gate (every item launch needs the scheduler CPU core — the
-  coupling behind the paper's *task execution blocking* problem).
-* :class:`BundleRun` — one 3-in-1 task loaded in a Big slot, executing its
-  three member tasks in parallel (internal pipeline) or serial mode.
+* :class:`SlotRun` — one payload loaded in one slot: a process that walks
+  its batch item by item in the one batch-item loop, honouring the
+  cross-slot pipeline dependency and the launch gate (every item launch
+  needs the scheduler CPU core — the coupling behind the paper's *task
+  execution blocking* problem).
+* :class:`TaskRun` (a task in a Little slot) and :class:`BundleRun` (a
+  3-in-1 bundle in a Big slot, in parallel or serial mode) differ only in
+  the segments their constructors hand that loop: which task's items run,
+  the time of the first and of every further item, and how an item is
+  marked done.
 
 Preemption is cooperative at batch-item boundaries, matching the paper:
 the scheduler raises a flag and the run exits after the current item; its
@@ -19,7 +23,7 @@ progress persists in the :class:`AppRun` so a later reload resumes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from ..apps.application import BUNDLE_SIZE, ApplicationInstance, BundleSpec, TaskSpec
 from ..fpga.resvec import ResourceVector
@@ -33,9 +37,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: A loadable payload: a single task (Little slot) or a bundle (Big slot).
 Payload = Union[TaskSpec, BundleSpec]
 
+#: One stretch of a slot run's batch: ``(task, mark_done, key, first_ms,
+#: steady_ms)`` (see :class:`SlotRun`).
+Segment = Tuple[int, Callable[[object, int], None], object, float, float]
+
 #: Numeric tolerance when deciding whether a wait counts as blocking.
 #: Defined here (the bottom of the scheduler import graph) and re-exported
-#: by ``schedulers.base``; the inlined launch gates below apply it.
+#: by ``schedulers.base``; the launch gate below applies it.
 BLOCK_EPSILON_MS = 1e-6
 
 
@@ -94,10 +102,6 @@ class AppRun:
     # ------------------------------------------------------------------
     # Pipeline dependency plumbing
     # ------------------------------------------------------------------
-    def item_done(self, task_index: int, item: int) -> bool:
-        """True once item ``item`` of task ``task_index`` has completed."""
-        return self.done_counts[task_index] > item
-
     def item_event(self, task_index: int, item: int) -> Event:
         """Event firing when item ``item`` of task ``task_index`` completes."""
         engine = self.scheduler.engine
@@ -193,43 +197,41 @@ class AppRun:
         """Bundles with at least one unfinished member task."""
         return self._unfinished_bundles
 
-    def next_little_payloads(self) -> List[TaskSpec]:
+    def little_payloads(self, limit: Optional[int] = None) -> List[TaskSpec]:
         """Tasks eligible for loading into Little slots, pipeline order.
 
         A task is eligible when it is incomplete, not loaded and not
         currently being reconfigured.  Order matters: lowest index first
         guarantees the pipeline can always make progress (see the
-        deadlock-freedom argument in the tests).
+        deadlock-freedom argument in the tests).  The scan stops after
+        ``limit`` tasks: the planner only ever dispatches the head.
 
         When a loaded run has a pending preemption, no task *after* it is
         eligible: its slot must go back to the preempted stage first, or
         the app fills its allocation with downstream stages that starve on
         the missing upstream (a livelock observed under Real-time load).
         """
-        preempt_floor = None
-        for run in self.loaded.values():
-            if isinstance(run, TaskRun) and run.preempt_requested:
-                index = run.task.index
-                if preempt_floor is None or index < preempt_floor:
-                    preempt_floor = index
-        eligible = []
+        eligible: List[TaskSpec] = []
         batch = self.batch
         done_counts = self.done_counts
         loaded = self.loaded
         pending_pr = self.pending_pr
         for task in self.spec.tasks:
-            if preempt_floor is not None and task.index > preempt_floor:
-                break
-            if done_counts[task.index] >= batch:
+            name = task.name
+            if name in loaded:
+                if loaded[name].preempt_requested:
+                    break  # the preemption floor: nothing after it
                 continue
-            if task.name in loaded or task.name in pending_pr:
+            if done_counts[task.index] >= batch or name in pending_pr:
                 continue
             eligible.append(task)
+            if len(eligible) == limit:
+                break
         return eligible
 
-    def next_big_payloads(self) -> List[BundleSpec]:
+    def big_payloads(self, limit: Optional[int] = None) -> List[BundleSpec]:
         """Bundles eligible for loading into Big slots, pipeline order."""
-        eligible = []
+        eligible: List[BundleSpec] = []
         left = self._bundle_members_left
         loaded = self.loaded
         pending_pr = self.pending_pr
@@ -239,76 +241,9 @@ class AppRun:
             if bundle.name in loaded or bundle.name in pending_pr:
                 continue
             eligible.append(bundle)
-        return eligible
-
-    def first_little_payload(self) -> Optional[TaskSpec]:
-        """First element of :meth:`next_little_payloads`, without the list.
-
-        The planning loop only ever consumes the head of the eligibility
-        list (lowest index first), so an early-exit scan avoids building
-        and discarding a list per scheduler pass.  Keep the eligibility
-        rules in sync with :meth:`next_little_payloads`.
-        """
-        preempt_floor = None
-        for run in self.loaded.values():
-            if isinstance(run, TaskRun) and run.preempt_requested:
-                index = run.task.index
-                if preempt_floor is None or index < preempt_floor:
-                    preempt_floor = index
-        batch = self.batch
-        done_counts = self.done_counts
-        loaded = self.loaded
-        pending_pr = self.pending_pr
-        for task in self.spec.tasks:
-            if preempt_floor is not None and task.index > preempt_floor:
-                return None
-            if done_counts[task.index] >= batch:
-                continue
-            if task.name in loaded or task.name in pending_pr:
-                continue
-            return task
-        return None
-
-    def little_payload_count(self) -> int:
-        """``len(next_little_payloads())`` without building the list.
-
-        Nimblock's allocator queries demand twice per pass; a counting
-        scan keeps that O(tasks) but allocation-free.  Keep the
-        eligibility rules in sync with :meth:`next_little_payloads`.
-        """
-        preempt_floor = None
-        for run in self.loaded.values():
-            if isinstance(run, TaskRun) and run.preempt_requested:
-                index = run.task.index
-                if preempt_floor is None or index < preempt_floor:
-                    preempt_floor = index
-        count = 0
-        batch = self.batch
-        done_counts = self.done_counts
-        loaded = self.loaded
-        pending_pr = self.pending_pr
-        for task in self.spec.tasks:
-            if preempt_floor is not None and task.index > preempt_floor:
+            if len(eligible) == limit:
                 break
-            if done_counts[task.index] >= batch:
-                continue
-            if task.name in loaded or task.name in pending_pr:
-                continue
-            count += 1
-        return count
-
-    def first_big_payload(self) -> Optional[BundleSpec]:
-        """First element of :meth:`next_big_payloads`, without the list."""
-        left = self._bundle_members_left
-        loaded = self.loaded
-        pending_pr = self.pending_pr
-        for bundle_index, bundle in enumerate(self.spec.bundles):
-            if left is not None and left[bundle_index] == 0:
-                continue
-            if bundle.name in loaded or bundle.name in pending_pr:
-                continue
-            return bundle
-        return None
+        return eligible
 
     def __repr__(self) -> str:
         return (
@@ -318,25 +253,30 @@ class AppRun:
         )
 
 
-class TaskRun:
-    """A task loaded in a Little slot, executing its batch item by item."""
+class SlotRun:
+    """A payload loaded in one slot, executing its batch item by item.
 
-    __slots__ = ("scheduler", "app_run", "task", "slot", "preempt_requested",
-                 "items_this_load", "_waiting_dependency", "process")
+    The run walks its ``segments`` in order.  A segment is
+    ``(task, mark_done, key, first_ms, steady_ms)``: the task whose done
+    count paces it (and whose upstream neighbour it waits on), the
+    :class:`AppRun` marker and the key it is called with once per item,
+    the time of the segment's first item in this load, and the time of
+    every further item.
+    """
 
-    def __init__(self, scheduler: "OnBoardScheduler", app_run: AppRun, task: TaskSpec, slot: Slot) -> None:
+    __slots__ = ("scheduler", "app_run", "payload_name", "slot", "segments",
+                 "preempt_requested", "_waiting_dependency", "process")
+
+    def __init__(self, scheduler: "OnBoardScheduler", app_run: AppRun, payload: Payload,
+                 slot: Slot, segments: List[Segment]) -> None:
         self.scheduler = scheduler
         self.app_run = app_run
-        self.task = task
+        self.payload_name = payload.name
         self.slot = slot
+        self.segments = segments
         self.preempt_requested = False
-        self.items_this_load = 0
         self._waiting_dependency = False
         self.process = scheduler.engine.process(self._run())
-
-    @property
-    def payload_name(self) -> str:
-        return self.task.name
 
     def request_preempt(self) -> None:
         """Ask the run to vacate its slot at the next item boundary.
@@ -354,18 +294,14 @@ class TaskRun:
         app = self.app_run
         scheduler = self.scheduler
         engine = scheduler.engine
-        k = self.task.index
         batch = app.batch
         done_counts = app.done_counts
-        # Loop invariants hoisted out of the per-item path: the item time
-        # (execution plus the per-item AXI/DDR hop into this slot), the
-        # pipelining granularity, and the dependency base.
-        item_ms = self.task.exec_time_ms + scheduler.params.inter_slot_transfer_ms
-        chunk = scheduler.pipeline_chunk_items if scheduler.item_pipelining else None
+        # Loop invariants hoisted out of the per-item path: the pipelining
+        # granularity and the launch gate's collaborators.
+        chunk = scheduler.pipeline_chunk_items
         item_level = chunk == 1
         last_item = batch - 1
         item_event = app.item_event
-        mark_item_done = app.mark_item_done
         core = scheduler._core
         try_acquire = core.try_acquire
         release = core.release
@@ -378,214 +314,39 @@ class TaskRun:
         if telemetry is not None and not telemetry.wants_launch:
             telemetry = None
         app_id = app.inst.app_id
-        while done_counts[k] < batch:
-            if self.preempt_requested:
-                break
-            item = done_counts[k]
-            # Cross-slot dependency: item-level pipeline for pipeline-aware
-            # systems; naive ones stream coarser chunks (or whole batches),
-            # so their slots idle while upstream stages drain — the
-            # under-utilization the paper attributes to uniform sharing.
-            if item_level:
-                upstream_item = item
-            elif chunk is None:
-                upstream_item = last_item
-            else:
-                upstream_item = min(last_item, (item // chunk + 1) * chunk - 1)
-            if k > 0 and done_counts[k - 1] <= upstream_item:
-                self._waiting_dependency = True
-                try:
-                    yield item_event(k - 1, upstream_item)
-                except Interrupt:
+        # A preempted run breaks out of its segment; any later segment
+        # breaks before its first item, so the run ends with no new launch.
+        for k, mark_done, key, item_ms, steady_ms in self.segments:
+            while done_counts[k] < batch:
+                if self.preempt_requested:
                     break
-                finally:
-                    self._waiting_dependency = False
-                continue  # re-check preemption after a potentially long wait
-            # The launch gate, run before every batch-item launch: the
-            # launch needs the scheduler core, so on single-core systems
-            # a PR in flight stalls it — the task execution blocking
-            # problem.  Blocking is attributed to PR contention only when
-            # the in-flight or queued PR belongs to a *different*
-            # application (Fig. 2 semantics).  The uncontended case
-            # grants in place — no request object, no dispatch
-            # round-trip, zero wait — and only the contended branch pays
-            # for the PR-busy scan.  It is inlined (no generator frame per
-            # item); BundleRun's two run loops carry copies of this
-            # block: keep the three in sync.
-            request = try_acquire()
-            if request is None:
-                wait = 0.0
-                blocked = False
-            else:
-                started = engine.now
-                busy_app = scheduler._inflight_app
-                pr_busy = busy_app is not None and busy_app is not app
-                if not pr_busy and pr_items:
-                    pr_busy = any(q.app_run is not app for q in pr_items)
-                yield request
-                wait = engine.now - started
-                blocked = wait > BLOCK_EPSILON_MS and pr_busy
-            stats.launches += 1
-            stats.launch_wait_ms += wait
-            if blocked:
-                stats.launch_blocked += 1
-                stats.window_blocked += 1
-            if telemetry is not None:
-                telemetry.emit_launch(engine.now, app_id, wait, blocked)
-            try:
-                yield launch_overhead
-            finally:
-                release()
-            # ``sleep`` recycles the timeout object: the batch loop runs
-            # allocation-free in steady state.
-            yield item_ms
-            mark_item_done(k, item)
-            self.items_this_load += 1
-        self.scheduler.on_run_finished(self, preempted=self.preempt_requested)
-        return self.items_this_load
-
-
-class BundleRun:
-    """A 3-in-1 bundle loaded in a Big slot.
-
-    Execution mode is chosen at bundling time (Algorithm 2's online
-    bundling) via the paper's criterion: serial when
-    ``Tmax * (B + 2) > sum(T) * B``, else parallel.
-
-    * **Parallel** — the three member tasks form an internal pipeline; the
-      first item pays the fill time ``sum(T)``, each further item completes
-      every ``Tmax``.  All three member tasks' items are published when the
-      item leaves the bundle (downstream only consumes the last member).
-    * **Serial** — members run one full batch after another.
-    """
-
-    __slots__ = ("scheduler", "app_run", "bundle", "slot", "serial",
-                 "preempt_requested", "process")
-
-    def __init__(
-        self,
-        scheduler: "OnBoardScheduler",
-        app_run: AppRun,
-        bundle: BundleSpec,
-        slot: Slot,
-        serial: bool,
-    ) -> None:
-        self.scheduler = scheduler
-        self.app_run = app_run
-        self.bundle = bundle
-        self.slot = slot
-        self.serial = serial
-        self.preempt_requested = False  # bundles are never preempted
-        self.process = scheduler.engine.process(
-            self._run_serial() if serial else self._run_parallel()
-        )
-
-    @property
-    def payload_name(self) -> str:
-        return self.bundle.name
-
-    def _upstream_ready(self, item: int) -> Optional[Event]:
-        """Dependency of the bundle's first member on the previous bundle."""
-        first = self.bundle.task_indices[0]
-        if first == 0 or self.app_run.item_done(first - 1, item):
-            return None
-        return self.app_run.item_event(first - 1, item)
-
-    def _run_parallel(self) -> Generator:
-        app = self.app_run
-        scheduler = self.scheduler
-        engine = scheduler.engine
-        # Bundle payloads always come from ``spec.bundles`` (validated at
-        # spec construction), so index the frozen time table directly
-        # instead of re-validating membership per load.
-        times = app.spec._bundle_times[self.bundle.index]
-        # Internal stages stream on-chip: the steady-state rate is set by
-        # the slowest member alone; the boundary DDR hop is paid once, in
-        # the fill, and thereafter overlaps the slowest member.
-        hop = scheduler.params.inter_slot_transfer_ms
-        fill = sum(times) + hop
-        t_max = max(times)
-        members = self.bundle.task_indices
-        first = members[0]
-        done_counts = app.done_counts
-        mark_bundle_item_done = app.mark_bundle_item_done
-        core = scheduler._core
-        try_acquire = core.try_acquire
-        release = core.release
-        stats = scheduler.stats
-        pr_items = scheduler.pr_queue._items
-        launch_overhead = scheduler._launch_overhead_ms
-        # Telemetry fast lane (see TaskRun._run).
-        telemetry = scheduler.telemetry
-        if telemetry is not None and not telemetry.wants_launch:
-            telemetry = None
-        app_id = app.inst.app_id
-        start_item = done_counts[first]
-        for item in range(start_item, app.batch):
-            # Dependency of the bundle's first member on the previous
-            # bundle (_upstream_ready, inlined for the per-item path).
-            if first > 0 and done_counts[first - 1] <= item:
-                yield app.item_event(first - 1, item)
-            # Inlined launch gate (keep in sync with TaskRun._run, where
-            # it is documented).
-            request = try_acquire()
-            if request is None:
-                wait = 0.0
-                blocked = False
-            else:
-                started = engine.now
-                busy_app = scheduler._inflight_app
-                pr_busy = busy_app is not None and busy_app is not app
-                if not pr_busy and pr_items:
-                    pr_busy = any(q.app_run is not app for q in pr_items)
-                yield request
-                wait = engine.now - started
-                blocked = wait > BLOCK_EPSILON_MS and pr_busy
-            stats.launches += 1
-            stats.launch_wait_ms += wait
-            if blocked:
-                stats.launch_blocked += 1
-                stats.window_blocked += 1
-            if telemetry is not None:
-                telemetry.emit_launch(engine.now, app_id, wait, blocked)
-            try:
-                yield launch_overhead
-            finally:
-                release()
-            yield fill if item == start_item else t_max
-            mark_bundle_item_done(members, item)
-        scheduler.on_run_finished(self, preempted=False)
-        return app.batch - start_item
-
-    def _run_serial(self) -> Generator:
-        app = self.app_run
-        scheduler = self.scheduler
-        engine = scheduler.engine
-        core = scheduler._core
-        try_acquire = core.try_acquire
-        release = core.release
-        stats = scheduler.stats
-        pr_items = scheduler.pr_queue._items
-        launch_overhead = scheduler._launch_overhead_ms
-        # Telemetry fast lane (see TaskRun._run).
-        telemetry = scheduler.telemetry
-        if telemetry is not None and not telemetry.wants_launch:
-            telemetry = None
-        app_id = app.inst.app_id
-        completed = 0
-        # Serial mode buffers whole batches between members, so each
-        # member's items pay the DDR hop like separate slots would.
-        hop = scheduler.params.inter_slot_transfer_ms
-        first = self.bundle.task_indices[0]
-        for member in self.bundle.task_indices:
-            exec_ms = app.spec.tasks[member].exec_time_ms + hop
-            for item in range(app.done_counts[member], app.batch):
-                if member == first:
-                    waiting = self._upstream_ready(item)
-                    if waiting is not None:
-                        yield waiting
-                # Inlined launch gate (keep in sync with TaskRun._run,
-                # where it is documented).
+                item = done_counts[k]
+                # Cross-slot dependency: item-level pipeline for
+                # pipeline-aware systems; naive ones stream coarser chunks,
+                # so their slots idle while upstream stages drain — the
+                # under-utilization the paper attributes to uniform sharing.
+                if item_level:
+                    upstream_item = item
+                else:
+                    upstream_item = min(last_item, (item // chunk + 1) * chunk - 1)
+                if k > 0 and done_counts[k - 1] <= upstream_item:
+                    self._waiting_dependency = True
+                    try:
+                        yield item_event(k - 1, upstream_item)
+                    except Interrupt:
+                        break
+                    finally:
+                        self._waiting_dependency = False
+                    continue  # re-check preemption after a potentially long wait
+                # The launch gate, run before every batch-item launch: the
+                # launch needs the scheduler core, so on single-core
+                # systems a PR in flight stalls it — the task execution
+                # blocking problem.  Blocking is attributed to PR
+                # contention only when the in-flight or queued PR belongs
+                # to a *different* application (Fig. 2 semantics).  The
+                # uncontended case grants in place — no request object, no
+                # dispatch round-trip, zero wait — and only the contended
+                # branch pays for the PR-busy scan.
                 request = try_acquire()
                 if request is None:
                     wait = 0.0
@@ -610,11 +371,78 @@ class BundleRun:
                     yield launch_overhead
                 finally:
                     release()
-                yield exec_ms
-                app.mark_item_done(member, item)
-                completed += 1
-        scheduler.on_run_finished(self, preempted=False)
-        return completed
+                # ``sleep`` recycles the timeout object: the batch loop
+                # runs allocation-free in steady state.
+                yield item_ms
+                mark_done(key, item)
+                item_ms = steady_ms
+        scheduler.on_run_finished(self, preempted=self.preempt_requested)
+
+
+def task_segment(app_run: AppRun, task: TaskSpec, hop_ms: float) -> Segment:
+    """One task's items, each paying its execution plus the per-item
+    AXI/DDR hop into the slot."""
+    item_ms = task.exec_time_ms + hop_ms
+    return (task.index, app_run.mark_item_done, task.index, item_ms, item_ms)
+
+
+class TaskRun(SlotRun):
+    """A task loaded in a Little slot: one task segment."""
+
+    __slots__ = ("task",)
+
+    def __init__(self, scheduler: "OnBoardScheduler", app_run: AppRun, task: TaskSpec, slot: Slot) -> None:
+        self.task = task
+        hop = scheduler.params.inter_slot_transfer_ms
+        super().__init__(scheduler, app_run, task, slot, [task_segment(app_run, task, hop)])
+
+
+class BundleRun(SlotRun):
+    """A 3-in-1 bundle loaded in a Big slot.
+
+    Execution mode is chosen at bundling time (Algorithm 2's online
+    bundling) via the paper's criterion: serial when
+    ``Tmax * (B + 2) > sum(T) * B``, else parallel.  Bundles are never
+    preempted.
+
+    * **Parallel** — one segment: the three member tasks form an internal
+      pipeline; the first item pays the fill time ``sum(T)``, each further
+      item completes every ``Tmax``.  All three member tasks' items are
+      published when the item leaves the bundle (downstream only consumes
+      the last member).
+    * **Serial** — one task segment per member: members run one full batch
+      after another, buffering whole batches in DDR between them, so each
+      member's items pay the hop like separate slots would.
+    """
+
+    __slots__ = ("bundle", "serial")
+
+    def __init__(
+        self,
+        scheduler: "OnBoardScheduler",
+        app_run: AppRun,
+        bundle: BundleSpec,
+        slot: Slot,
+        serial: bool,
+    ) -> None:
+        self.bundle = bundle
+        self.serial = serial
+        hop = scheduler.params.inter_slot_transfer_ms
+        members = bundle.task_indices
+        if serial:
+            tasks = app_run.spec.tasks
+            segments = [task_segment(app_run, tasks[member], hop) for member in members]
+        else:
+            # Bundle payloads always come from ``spec.bundles`` (validated
+            # at spec construction), so index the frozen time table
+            # directly.  Internal stages stream on-chip: the steady-state
+            # rate is set by the slowest member alone; the boundary DDR
+            # hop is paid once, in the fill, and thereafter overlaps the
+            # slowest member.
+            times = app_run.spec._bundle_times[bundle.index]
+            segments = [(members[0], app_run.mark_bundle_item_done, members,
+                         sum(times) + hop, max(times))]
+        super().__init__(scheduler, app_run, bundle, slot, segments)
 
 
 def occupancy_for(app_run: AppRun, payload: Payload, slot: Slot) -> SlotOccupancy:

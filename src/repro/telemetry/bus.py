@@ -8,12 +8,12 @@ filter; the bus pre-computes the fan-out list per kind at attach time so
 
 Zero cost when disabled
 -----------------------
-The hot emission sites (the per-batch-item launch gates in
-``schedulers.runtime``) hoist ``scheduler.telemetry`` into a local and
-null it out when no attached sink wants launch events — the steady-state
-per-item overhead of a disabled bus is a single ``is not None`` test, and
-no event object is ever constructed.  The same pattern guards every other
-emission site (``if telemetry is not None``).
+The hot emission site (the launch gate in ``SlotRun._run``, the one
+batch-item loop in ``schedulers.runtime``) hoists ``scheduler.telemetry``
+into a local and nulls it out when no attached sink wants launch events —
+the steady-state per-item overhead of a disabled bus is a single
+``is not None`` test, and no event object is ever constructed.  The same
+pattern guards every other emission site (``if telemetry is not None``).
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class TelemetryBus:
         #: Bound ``on_launch`` fast-path handlers, or None when some
         #: launch sink needs the full event object.
         self._launch_fast: Optional[List] = []
-        #: Hoisted by the per-item launch gates: when False, model code
-        #: skips launch emission entirely.
+        #: Hoisted by the batch-item loop's launch gate: when False, model
+        #: code skips launch emission entirely.
         self.wants_launch = False
         for sink in sinks:
             self.attach(sink)

@@ -17,7 +17,12 @@ goldens can only sample but a fuzzer can hammer:
   a pipeline item event, no PR plan sits in the queue, and the engine heap
   is empty;
 * **resource request/release balance** — every acquired core / PCAP unit
-  was released (``in_use == 0`` at drain, never outside ``[0, capacity]``).
+  was released (``in_use == 0`` at drain, never outside ``[0, capacity]``);
+* **the Big.Little runtime rules** — an application never holds Big and
+  Little slots at once (§III-C1), a Big-slot run is never asked to
+  preempt, and every loaded 3-in-1 bundle runs in the mode the paper's
+  criterion ``Tmax * (B + 2) > sum(T) * B`` picks, recomputed from its
+  member tasks.
 
 :class:`InvariantMonitor` attaches the runtime checks to a live
 simulation (slot observers + finish listeners) and exposes
@@ -112,6 +117,28 @@ def check_app_run(app: AppRun) -> List[str]:
             f"{app.inst.name}: used_little {app.used_little} != loaded "
             f"{loaded_little} + pending {pending_little}"
         )
+    # The Big.Little runtime rules, checked against the paper's wording
+    # rather than the helpers the schedulers call.
+    if app.used_big and app.used_little:
+        problems.append(
+            f"{app.inst.name}: holds {app.used_big} Big and "
+            f"{app.used_little} Little slots at once"
+        )
+    for run in app.loaded.values():
+        if not isinstance(run, BundleRun):
+            continue
+        if run.preempt_requested:
+            problems.append(
+                f"{app.inst.name}: bundle {run.bundle.name} was asked to preempt"
+            )
+        times = [spec.tasks[index].exec_time_ms for index in run.bundle.task_indices]
+        serial = max(times) * (batch + 2) > sum(times) * batch
+        if run.serial != serial:
+            problems.append(
+                f"{app.inst.name}: bundle {run.bundle.name} runs "
+                f"{'serial' if run.serial else 'parallel'}, the criterion "
+                f"picks {'serial' if serial else 'parallel'}"
+            )
     if app.finished:
         if not app.all_done:
             problems.append(f"{app.inst.name}: finished but not all done")

@@ -261,6 +261,61 @@ class TestInvariantCheckers:
             v.invariant == "clock-monotonicity" for v in monitor.violations
         )
 
+    def test_bundle_in_the_wrong_mode_is_flagged(self):
+        # A VersaSlot-BL whose bundling decision is inverted: both kernels
+        # run the same wrong schedule, so only the invariant can see it.
+        from repro.campaign.scenario import SYSTEM_REGISTRY, register_system
+        from repro.core.versaslot import VersaSlotBigLittle
+        from repro.fpga.slots import BoardConfig
+        from repro.workloads.generator import Arrival
+
+        class InvertedBundling(VersaSlotBigLittle):
+            __slots__ = ()
+
+            def choose_serial_bundle(self, app_run, bundle):
+                return not super().choose_serial_bundle(app_run, bundle)
+
+        arrivals = [
+            Arrival("IC", 3, 0.0), Arrival("OF", 1, 5.0),
+            Arrival("LeNet", 12, 10.0), Arrival("AN", 2, 20.0),
+            Arrival("3DR", 8, 30.0),
+        ]
+        register_system("VersaSlot-BL-inverted", BoardConfig.BIG_LITTLE)(
+            InvertedBundling
+        )
+        try:
+            report = DifferentialOracle(kernels=("heap",)).check(
+                "VersaSlot-BL-inverted", arrivals
+            )
+        finally:
+            del SYSTEM_REGISTRY["VersaSlot-BL-inverted"]
+        assert not report.diverged, report.summary()
+        assert (
+            "OF#1: bundle OF/bundle1 runs parallel, the criterion picks serial"
+            in " ".join(report.reference.violations)
+        )
+        assert report.reference.violations == report.optimized.violations
+
+    def test_preempted_bundle_and_mixed_slot_kinds_are_flagged(self):
+        from repro.apps import ApplicationInstance, BENCHMARKS
+        from repro.config import DEFAULT_PARAMETERS
+        from repro.core.versaslot import VersaSlotBigLittle
+        from repro.fpga import BoardConfig, FPGABoard
+        from repro.schedulers.runtime import BundleRun
+
+        engine = Engine()
+        board = FPGABoard(engine, BoardConfig.BIG_LITTLE, DEFAULT_PARAMETERS)
+        scheduler = VersaSlotBigLittle(board, DEFAULT_PARAMETERS)
+        app = scheduler.submit(ApplicationInstance(BENCHMARKS["3DR"], 8, 0.0))
+        engine.run(until=400.0)  # a bundle is loaded in a Big slot
+        run = next(r for r in app.loaded.values() if isinstance(r, BundleRun))
+        assert check_app_run(app) == []
+        run.preempt_requested = True
+        app.used_little += 1
+        problems = check_app_run(app)
+        assert f"3DR#0: bundle {run.bundle.name} was asked to preempt" in problems
+        assert f"3DR#0: holds {app.used_big} Big and 1 Little slots at once" in problems
+
     def test_unbalanced_resource_is_flagged(self):
         from repro.verify.invariants import check_quiescent
 
